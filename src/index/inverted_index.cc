@@ -29,6 +29,26 @@ uint64_t GetVarint(const std::string& in, size_t* pos) {
   return value;
 }
 
+/// One posting record: doc-id delta, position count, position deltas.
+void PutRecord(std::string* out, DocId doc_delta,
+               const std::vector<uint32_t>& positions) {
+  PutVarint(out, doc_delta);
+  PutVarint(out, positions.size());
+  uint32_t prev = 0;
+  for (uint32_t pos : positions) {
+    PutVarint(out, pos - prev);
+    prev = pos;
+  }
+}
+
+/// Moves \p pos past one whole record; returns its position count.
+uint64_t SkipRecord(const std::string& blob, size_t* pos) {
+  GetVarint(blob, pos);
+  uint64_t count = GetVarint(blob, pos);
+  for (uint64_t j = 0; j < count; ++j) GetVarint(blob, pos);
+  return count;
+}
+
 /// Postings per block: small enough that decoding one block for phrase
 /// verification is cheap, large enough that skip pointers pay off.
 constexpr uint32_t kBlockDocs = 128;
@@ -37,13 +57,8 @@ constexpr uint32_t kBlockDocs = 128;
 
 void InvertedIndex::AppendRecord(TermList* list, DocId doc,
                                  const std::vector<uint32_t>& positions) {
-  PutVarint(&list->blob, doc - (list->doc_count == 0 ? 0 : list->last_doc));
-  PutVarint(&list->blob, positions.size());
-  uint32_t prev = 0;
-  for (uint32_t pos : positions) {
-    PutVarint(&list->blob, pos - prev);
-    prev = pos;
-  }
+  PutRecord(&list->blob, doc - (list->doc_count == 0 ? 0 : list->last_doc),
+            positions);
   list->last_doc = doc;
   ++list->doc_count;
 }
@@ -68,17 +83,6 @@ std::vector<InvertedIndex::DecodedPosting> InvertedIndex::Decode(
     out.push_back(std::move(posting));
   }
   return out;
-}
-
-void InvertedIndex::Encode(const std::vector<DecodedPosting>& postings,
-                           TermList* list) {
-  list->blob.clear();
-  list->doc_count = 0;
-  list->last_doc = 0;
-  for (const DecodedPosting& posting : postings) {
-    AppendRecord(list, posting.doc, posting.positions);
-  }
-  list->blob.shrink_to_fit();
 }
 
 uint32_t InvertedIndex::InternTerm(const std::string& term) {
@@ -130,11 +134,6 @@ InvertedIndex& InvertedIndex::operator=(InvertedIndex&& other) noexcept {
   return *this;
 }
 
-void InvertedIndex::DropBlocks(uint32_t tid) {
-  std::lock_guard<std::mutex> lock(blocks_mu_);
-  blocks_.erase(tid);
-}
-
 void InvertedIndex::AddDocument(DocId id, const std::string& text) {
   if (doc_terms_.count(id) > 0) RemoveDocument(id);
 
@@ -152,17 +151,16 @@ void InvertedIndex::AddDocument(DocId id, const std::string& text) {
     uint32_t tid = InternTerm(term);
     TermList& list = lists_[tid];
     if (list.doc_count == 0 || list.last_doc < id) {
-      AppendRecord(&list, id, positions);  // fast path: in-order append
+      // Fast path: in-order append; a resident block index grows its tail.
+      const size_t offset = list.blob.size();
+      AppendRecord(&list, id, positions);
+      if (BlockIndex* blocks = BlockedFor(tid, /*build=*/false)) {
+        AppendToBlocks(blocks, id, static_cast<uint32_t>(positions.size()),
+                       offset);
+      }
     } else {
-      // Out-of-order insert: decode, splice, re-encode.
-      std::vector<DecodedPosting> postings = Decode(list);
-      auto it = std::lower_bound(
-          postings.begin(), postings.end(), id,
-          [](const DecodedPosting& p, DocId d) { return p.doc < d; });
-      postings.insert(it, DecodedPosting{id, positions});
-      Encode(postings, &list);
+      Splice(tid, id, &positions);
     }
-    DropBlocks(tid);
     term_ids.push_back(tid);
   }
   std::sort(term_ids.begin(), term_ids.end());
@@ -173,19 +171,7 @@ void InvertedIndex::AddDocument(DocId id, const std::string& text) {
 void InvertedIndex::RemoveDocument(DocId id) {
   auto it = doc_terms_.find(id);
   if (it == doc_terms_.end()) return;
-  for (uint32_t tid : it->second) {
-    TermList& list = lists_[tid];
-    std::vector<DecodedPosting> postings = Decode(list);
-    auto doc_it = std::lower_bound(
-        postings.begin(), postings.end(), id,
-        [](const DecodedPosting& p, DocId d) { return p.doc < d; });
-    if (doc_it != postings.end() && doc_it->doc == id) {
-      total_tokens_ -= doc_it->positions.size();
-      postings.erase(doc_it);
-    }
-    Encode(postings, &list);
-    DropBlocks(tid);
-  }
+  for (uint32_t tid : it->second) total_tokens_ -= Splice(tid, id, nullptr);
   doc_terms_.erase(it);
 }
 
@@ -425,66 +411,164 @@ Result<InvertedIndex> InvertedIndex::Deserialize(const std::string& data) {
   return index;
 }
 
-// --- blocked query path ----------------------------------------------------
+// --- block indexes: build, in-place upkeep, blocked query path ---------
+
+void InvertedIndex::EncodeBlock(const std::vector<DocId>& docs,
+                                BlockIndex* index, size_t b) {
+  PostingBlock& block = index->blocks[b];
+  index->bytes -= block.docs.size();
+  index->dense_count -= block.dense;
+  block.first = docs.front();
+  block.last = docs.back();
+  block.count = static_cast<uint32_t>(docs.size());
+  // Delta-varint form first; switch to a bitset when it is smaller (a
+  // dense run of near-consecutive ids packs to one bit per slot).
+  std::string varints;
+  for (size_t i = 1; i < docs.size(); ++i) {
+    PutVarint(&varints, docs[i] - docs[i - 1]);
+  }
+  const uint64_t span = block.last - block.first + 1;
+  const size_t bitset_bytes = static_cast<size_t>((span + 7) / 8);
+  block.dense = bitset_bytes < varints.size();
+  if (block.dense) {
+    block.docs.assign(bitset_bytes, '\0');
+    for (DocId doc : docs) {
+      uint64_t bit = doc - block.first;
+      block.docs[bit >> 3] |= static_cast<char>(1u << (bit & 7));
+    }
+  } else {
+    block.docs = std::move(varints);
+  }
+  index->bytes += block.docs.size();
+  index->dense_count += block.dense;
+}
 
 InvertedIndex::BlockIndex InvertedIndex::BuildBlocks(const TermList& list) {
   BlockIndex index;
   if (list.doc_count == 0) return index;
   index.blocks.reserve((list.doc_count + kBlockDocs - 1) / kBlockDocs);
+  index.tf.reserve(list.doc_count);
 
   std::vector<DocId> run;
   run.reserve(kBlockDocs);
-  size_t run_offset = 0;
-
-  auto flush = [&]() {
-    if (run.empty()) return;
-    PostingBlock block;
-    block.first = run.front();
-    block.last = run.back();
-    block.count = static_cast<uint32_t>(run.size());
-    block.record_offset = static_cast<uint32_t>(run_offset);
-    // Delta-varint form first; switch to a bitset when it is smaller (a
-    // dense run of near-consecutive ids packs to one bit per slot).
-    std::string varints;
-    DocId prev = block.first;
-    for (size_t i = 1; i < run.size(); ++i) {
-      PutVarint(&varints, run[i] - prev);
-      prev = run[i];
-    }
-    const uint64_t span = block.last - block.first + 1;
-    const size_t bitset_bytes = static_cast<size_t>((span + 7) / 8);
-    if (bitset_bytes < varints.size()) {
-      block.dense = true;
-      block.docs.assign(bitset_bytes, '\0');
-      for (DocId doc : run) {
-        uint64_t bit = doc - block.first;
-        block.docs[bit >> 3] |= static_cast<char>(1u << (bit & 7));
-      }
-      ++index.dense_count;
-    } else {
-      block.docs = std::move(varints);
-    }
-    index.bytes += block.docs.size();
-    index.blocks.push_back(std::move(block));
-    run.clear();
-  };
-
   size_t pos = 0;
   DocId doc = 0;
-  index.tf.reserve(list.doc_count);
   for (uint32_t i = 0; i < list.doc_count; ++i) {
-    size_t record_start = pos;
+    if (run.empty()) {
+      index.blocks.emplace_back().record_offset = static_cast<uint32_t>(pos);
+    }
     doc += GetVarint(list.blob, &pos);
     uint64_t count = GetVarint(list.blob, &pos);
     for (uint64_t j = 0; j < count; ++j) GetVarint(list.blob, &pos);
-    if (run.empty()) run_offset = record_start;
     run.push_back(doc);
     index.tf.push_back(static_cast<uint32_t>(count));
-    if (run.size() == kBlockDocs) flush();
+    if (run.size() == kBlockDocs || i + 1 == list.doc_count) {
+      EncodeBlock(run, &index, index.blocks.size() - 1);
+      run.clear();
+    }
   }
-  flush();
   index.bytes += index.tf.size() * sizeof(uint32_t);
   return index;
+}
+
+void InvertedIndex::AppendToBlocks(BlockIndex* index, DocId doc, uint32_t tf,
+                                   size_t record_offset) {
+  std::vector<DocId> docs;
+  if (index->blocks.empty() || index->blocks.back().count >= kBlockDocs) {
+    index->blocks.emplace_back().record_offset =
+        static_cast<uint32_t>(record_offset);
+  } else {
+    AppendBlockDocs(index->blocks.back(), &docs);
+  }
+  docs.push_back(doc);
+  EncodeBlock(docs, index, index->blocks.size() - 1);
+  index->tf.push_back(tf);
+  index->bytes += sizeof(uint32_t);
+}
+
+uint64_t InvertedIndex::Splice(uint32_t tid, DocId doc,
+                               const std::vector<uint32_t>* positions) {
+  TermList& list = lists_[tid];
+  BlockIndex& index = *BlockedFor(tid, /*build=*/true);
+  std::vector<PostingBlock>& blocks = index.blocks;
+  // The block holding doc — for an insert, the first block ending past it
+  // (one exists: inserts land below last_doc).
+  const size_t b =
+      std::partition_point(blocks.begin(), blocks.end(),
+                           [doc](const PostingBlock& block) {
+                             return block.last < doc;
+                           }) -
+      blocks.begin();
+  if (b == blocks.size()) return 0;
+  std::vector<DocId> docs;
+  AppendBlockDocs(blocks[b], &docs);
+  const size_t slot =
+      std::lower_bound(docs.begin(), docs.end(), doc) - docs.begin();
+  const bool insert = positions != nullptr;
+  if (!insert && docs[slot] != doc) return 0;
+
+  // [start, end) is what the patch replaces: the removed record or, for an
+  // insert, nothing — plus the doc delta of the record after the splice
+  // point, which is re-based on the new predecessor.
+  size_t start = blocks[b].record_offset;
+  for (size_t i = 0; i < slot; ++i) SkipRecord(list.blob, &start);
+  const DocId prev = slot > 0 ? docs[slot - 1]
+                     : b > 0  ? blocks[b - 1].last
+                              : 0;  // the list's first record: absolute id
+  size_t end = start;
+  uint64_t removed_tf = 0;
+  std::string patch;
+  if (insert) {
+    PutRecord(&patch, doc - prev, *positions);
+    GetVarint(list.blob, &end);
+    PutVarint(&patch, docs[slot] - doc);
+  } else {
+    removed_tf = SkipRecord(list.blob, &end);
+    if (end < list.blob.size()) {
+      const DocId next =
+          slot + 1 < docs.size() ? docs[slot + 1] : blocks[b + 1].first;
+      GetVarint(list.blob, &end);
+      PutVarint(&patch, next - prev);
+    }
+  }
+  const int64_t shift =
+      static_cast<int64_t>(patch.size()) - static_cast<int64_t>(end - start);
+  list.blob.replace(start, end - start, patch);
+
+  // Block index: one tf entry moves, later blocks' records move by
+  // `shift` — except a successor that opens the next block, which now
+  // starts where the removed record did — and this block re-encodes.
+  size_t tf_at = slot;
+  for (size_t k = 0; k < b; ++k) tf_at += blocks[k].count;
+  size_t later = b + 1;
+  if (insert) {
+    docs.insert(docs.begin() + slot, doc);
+    index.tf.insert(index.tf.begin() + tf_at,
+                    static_cast<uint32_t>(positions->size()));
+    index.bytes += sizeof(uint32_t);
+    ++list.doc_count;
+  } else {
+    if (slot + 1 == docs.size() && later < blocks.size()) {
+      blocks[later++].record_offset = static_cast<uint32_t>(start);
+    }
+    docs.erase(docs.begin() + slot);
+    index.tf.erase(index.tf.begin() + tf_at);
+    index.bytes -= sizeof(uint32_t);
+    --list.doc_count;
+    if (doc == list.last_doc) list.last_doc = prev;
+  }
+  for (; later < blocks.size(); ++later) {
+    blocks[later].record_offset =
+        static_cast<uint32_t>(blocks[later].record_offset + shift);
+  }
+  if (docs.empty()) {
+    index.bytes -= blocks[b].docs.size();
+    index.dense_count -= blocks[b].dense;
+    blocks.erase(blocks.begin() + b);
+  } else {
+    EncodeBlock(docs, &index, b);
+  }
+  return removed_tf;
 }
 
 void InvertedIndex::AppendBlockDocs(const PostingBlock& block,
@@ -509,13 +593,14 @@ void InvertedIndex::AppendBlockDocs(const PostingBlock& block,
   }
 }
 
-const InvertedIndex::BlockIndex* InvertedIndex::BlockedFor(
-    uint32_t tid) const {
+InvertedIndex::BlockIndex* InvertedIndex::BlockedFor(uint32_t tid,
+                                                     bool build) const {
   {
     std::lock_guard<std::mutex> lock(blocks_mu_);
     auto it = blocks_.find(tid);
     if (it != blocks_.end()) return it->second.get();
   }
+  if (!build) return nullptr;
   auto built = std::make_unique<BlockIndex>(BuildBlocks(lists_[tid]));
   std::lock_guard<std::mutex> lock(blocks_mu_);
   auto [it, inserted] = blocks_.emplace(tid, std::move(built));

@@ -8,19 +8,26 @@
 // Storage is Lucene-style: one compressed posting list per term, a byte
 // blob of varint-encoded [doc-id delta, position count, position deltas...]
 // records. Appending documents in increasing id order extends blobs in
-// place; out-of-order inserts and removals decode+re-encode the affected
-// term lists (rare in the PDSMS write path, which bulk-loads per source).
+// place. Removals, re-adds and inserts below a list's last doc splice the
+// blob in place: only the one record changes, plus the doc delta of the
+// record after it. The blob stays byte-for-byte the ascending-order
+// encoding of its postings, so Serialize() images do not depend on the
+// order of writes.
 //
 // Block acceleration (DESIGN.md §16): on top of the blob each term lazily
-// gets an immutable block index — runs of up to kBlockDocs doc ids, each
-// block re-encoded as delta varints or a bitset (whichever is smaller)
-// with its [first, last] doc range acting as a skip pointer and the byte
-// offset of its first blob record kept for targeted position decoding.
+// gets a block index — runs of about kBlockDocs doc ids, each block
+// encoded as delta varints or a bitset (whichever is smaller) with its
+// [first, last] doc range acting as a skip pointer and the byte offset of
+// its first blob record kept for targeted position decoding.
 // TermDocs/AndDocs/PhraseDocs answer from blocks with block-wise
 // range-skipping intersection and decode positions only for intersection
 // survivors; results are identical to the ExecContext-free TermQuery/
-// AndQuery/PhraseQuery. Blocks are a query-side cache: mutations drop the
-// affected terms' blocks, and nothing about Serialize()'s format changes.
+// AndQuery/PhraseQuery. A splice finds its record through the term's
+// block index (building it on first touch). Writes keep a resident block
+// index current instead of dropping it: an append extends or opens the
+// tail block, and a splice re-encodes only its own block, so block sizes
+// drift from kBlockDocs until the index is rebuilt (copy or restart).
+// Nothing about Serialize()'s format depends on blocks.
 
 #ifndef IDM_INDEX_INVERTED_INDEX_H_
 #define IDM_INDEX_INVERTED_INDEX_H_
@@ -149,10 +156,11 @@ class InvertedIndex {
     std::vector<uint32_t> positions;
   };
 
-  /// One block of up to kBlockDocs consecutive postings of a term.
-  /// [first, last] is the skip pointer; record_offset points at the block's
-  /// first record in TermList::blob so position payloads can be decoded for
-  /// exactly this block's docs without touching the rest of the list.
+  /// One block of consecutive postings of a term: kBlockDocs when built,
+  /// then one more or fewer per splice. [first, last] is the skip pointer;
+  /// record_offset points at the block's first record in TermList::blob
+  /// so position payloads can be decoded for exactly this block's docs
+  /// without touching the rest of the list.
   struct PostingBlock {
     DocId first = 0;
     DocId last = 0;
@@ -164,8 +172,9 @@ class InvertedIndex {
   struct BlockIndex {
     std::vector<PostingBlock> blocks;
     /// Term frequency per doc, in list order across blocks — a sidecar
-    /// captured during the build walk so ranking never re-skips the
-    /// blob's position varints. Counted in `bytes`.
+    /// captured during the build walk (and kept current by writes) so
+    /// ranking never re-skips the blob's position varints. Counted in
+    /// `bytes`.
     std::vector<uint32_t> tf;
     size_t bytes = 0;       ///< docs + tf payload bytes across blocks
     size_t dense_count = 0; ///< how many blocks chose the bitset form
@@ -174,17 +183,29 @@ class InvertedIndex {
   uint32_t InternTerm(const std::string& term);
   const TermList* FindList(const std::string& raw_term) const;
   static std::vector<DecodedPosting> Decode(const TermList& list);
-  static void Encode(const std::vector<DecodedPosting>& postings,
-                     TermList* list);
   static void AppendRecord(TermList* list, DocId doc,
                            const std::vector<uint32_t>& positions);
+  /// Removes \p doc's record from term \p tid's list (\p positions null)
+  /// or inserts it with \p positions below the list's last doc, editing
+  /// the blob and the term's block index in place. Returns the removed
+  /// record's position count (0 for an insert or an absent doc).
+  uint64_t Splice(uint32_t tid, DocId doc,
+                  const std::vector<uint32_t>* positions);
 
   static BlockIndex BuildBlocks(const TermList& list);
+  /// (Re-)encodes index->blocks[b] from its ascending, non-empty doc ids,
+  /// keeping the index's byte and bitset totals current.
+  static void EncodeBlock(const std::vector<DocId>& docs, BlockIndex* index,
+                          size_t b);
+  /// Adds an appended record (doc, tf, blob offset) to the tail block, or
+  /// opens a new one when the tail is full.
+  static void AppendToBlocks(BlockIndex* index, DocId doc, uint32_t tf,
+                             size_t record_offset);
   static void AppendBlockDocs(const PostingBlock& block,
                               std::vector<DocId>* out);
-  /// Lazily builds (and caches) the block index of term id \p tid.
-  const BlockIndex* BlockedFor(uint32_t tid) const;
-  void DropBlocks(uint32_t tid);
+  /// The block index of term id \p tid, built (and cached) on first use;
+  /// with \p build false, only a resident one (else nullptr).
+  BlockIndex* BlockedFor(uint32_t tid, bool build = true) const;
   /// Streaming position reader over one term's blob: Advance() moves
   /// forward-only through the record stream (docs must be requested in
   /// ascending order), decoding each record at most once and skipping
@@ -216,7 +237,7 @@ class InvertedIndex {
 
   /// Lazily built block indexes, keyed by term id. The mutex serializes
   /// concurrent readers racing to build the same term; mutations (which
-  /// never run concurrently with queries) drop entries for changed terms.
+  /// never run concurrently with queries) edit resident entries in place.
   mutable std::mutex blocks_mu_;
   mutable std::unordered_map<uint32_t, std::unique_ptr<BlockIndex>> blocks_;
   mutable std::atomic<uint64_t> blocks_built_{0};

@@ -76,10 +76,14 @@ class Dataspace {
   struct Config {
     rvm::IndexingOptions indexing;
     QueryProcessor::Options query;
-    /// Result cache fronting the query processor, keyed on (normalized
-    /// query text, VersionLog epoch). Enabled by default: every catalog
-    /// mutation advances the epoch, so a hit is always exact; queries with
-    /// yesterday()/now() literals bypass it (see IsCacheable).
+    /// Result cache fronting the query processor, keyed on the plan's
+    /// canonical key (DESIGN.md §16: spellings that differ only in
+    /// whitespace or operand order share an entry) and stamped with the
+    /// VersionLog epoch. Enabled by default: every catalog mutation
+    /// advances the epoch, and an epoch-stale entry is served only when
+    /// its footprint proves the mutations since could not touch it
+    /// (§14), so a hit is always exact; queries with yesterday()/now()
+    /// literals bypass it (see IsCacheable).
     QueryCache::Options cache;
     /// When non-empty, the dataspace is durable: a storage engine in this
     /// directory write-ahead-logs every mutation, Checkpoint() snapshots

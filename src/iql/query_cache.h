@@ -1,12 +1,14 @@
 // Version-epoch query result cache (DESIGN.md §8).
 //
-// Entries are keyed on the *normalized* query text (the parser round-trip:
-// ToString(ParseQuery(q)), so whitespace/escape variants share one entry)
-// and stamped with the VersionLog epoch they were computed at. Any catalog
-// mutation appends to the VersionLog and thereby advances the epoch, which
-// logically invalidates every cached entry at once — exact consistency
-// with zero invalidation scanning. Stale entries are dropped lazily on
-// lookup or by LRU eviction under the byte budget.
+// Entries are keyed on a caller-chosen string — Dataspace and the
+// federation use the plan's canonical key (CanonicalQueryKey, DESIGN.md
+// §16), so whitespace/escape variants and reordered conjuncts share one
+// entry — and stamped with the VersionLog epoch they were computed at.
+// Any catalog mutation appends to the VersionLog and thereby advances the
+// epoch, which logically invalidates every entry without a footprint at
+// once — exact consistency with zero invalidation scanning. Stale entries
+// are dropped lazily on lookup (unless they survive footprint validation,
+// below) or by LRU eviction under the byte budget.
 //
 // Queries whose answer depends on the clock rather than the catalog
 // (yesterday()/now() literals) must bypass the cache: IsCacheable().
@@ -42,7 +44,7 @@ namespace idm::iql {
 /// the clock alone (no epoch bump).
 bool IsCacheable(const Query& query);
 
-/// Thread-safe LRU cache of QueryResults keyed on (normalized text, epoch).
+/// Thread-safe LRU cache of QueryResults keyed on (query key, epoch).
 class QueryCache {
  public:
   struct Options {

@@ -111,6 +111,34 @@ TEST_F(InvertedIndexTest, MemoryUsageGrowsWithContent) {
   EXPECT_GT(index_.MemoryUsage(), before);
 }
 
+TEST(InvertedIndexBlocksTest, BlocksSurviveWrites) {
+  // Four blocks per list, with id gaps for inserts below the last doc.
+  InvertedIndex index;
+  for (DocId id = 0; id < 800; id += 2) {
+    index.AddDocument(id, id % 3 == 0 ? "alpha beta alpha" : "beta alpha");
+  }
+  // Builds both lists' block indexes.
+  ASSERT_FALSE(index.PhraseDocs("alpha beta").empty());
+  const uint64_t built = index.block_stats().built_lists;
+
+  index.AddDocument(1001, "alpha beta");        // in-order append
+  index.AddDocument(301, "beta alpha beta");    // insert below last_doc
+  index.AddDocument(256, "alpha alpha beta");   // re-add
+  index.RemoveDocument(254);                    // remove
+  index.RemoveDocument(0);                      // remove a list's first
+  index.RemoveDocument(1001);                   // ... and its last
+
+  EXPECT_EQ(index.block_stats().built_lists, built);
+  for (const char* term : {"alpha", "beta"}) {
+    EXPECT_EQ(index.TermDocs(term), index.TermQuery(term)) << term;
+    EXPECT_EQ(index.TermTfDocs(term), index.TermQueryWithTf(term)) << term;
+  }
+  for (const char* phrase : {"alpha beta", "beta alpha", "alpha alpha"}) {
+    EXPECT_EQ(index.PhraseDocs(phrase), index.PhraseQuery(phrase)) << phrase;
+  }
+  EXPECT_EQ(index.block_stats().built_lists, built);
+}
+
 TEST(InvertedIndexPropertyTest, MatchesNaiveScanOnRandomCorpus) {
   // Property: index results == naive substring-of-token-sequence scan.
   Rng rng(1234);

@@ -12,6 +12,7 @@
 #include "index/name_index.h"
 #include "index/tuple_index.h"
 #include "index/version_log.h"
+#include "util/codec.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -22,45 +23,169 @@ class ModelSweep : public ::testing::TestWithParam<uint64_t> {};
 
 // --- InvertedIndex vs. model -------------------------------------------------
 
+/// Every non-empty posting list of \p index as "doc_count/last_doc/blob",
+/// read back from its Serialize() image. The image carries the blobs
+/// verbatim, so equal maps mean byte-identical checkpoints of the lists.
+std::map<std::string, std::string> PostingImages(const InvertedIndex& index) {
+  const std::string data = index.Serialize();
+  size_t pos = 0;
+  uint64_t magic = 0, tokens = 0, n_terms = 0;
+  uint32_t version = 0;
+  EXPECT_TRUE(codec::GetU64(data, &pos, &magic) &&
+              codec::GetU32(data, &pos, &version) &&
+              codec::GetU64(data, &pos, &tokens) &&
+              codec::GetU64(data, &pos, &n_terms));
+  std::map<std::string, std::string> lists;
+  for (uint64_t i = 0; i < n_terms; ++i) {
+    std::string term, blob;
+    uint32_t term_id = 0, doc_count = 0;
+    uint64_t last_doc = 0;
+    EXPECT_TRUE(codec::GetString(data, &pos, &term) &&
+                codec::GetU32(data, &pos, &term_id) &&
+                codec::GetU32(data, &pos, &doc_count) &&
+                codec::GetU64(data, &pos, &last_doc) &&
+                codec::GetString(data, &pos, &blob));
+    if (doc_count == 0) {
+      // A term whose every document was removed keeps an empty list.
+      EXPECT_TRUE(blob.empty() && last_doc == 0) << term;
+      continue;
+    }
+    lists[term] = std::to_string(doc_count) + "/" + std::to_string(last_doc) +
+                  "/" + blob;
+  }
+  return lists;
+}
+
+// Writes at block scale: ids spread over more than ten 128-doc blocks, the
+// blocked reads interleaved so that writes land on resident block indexes,
+// and every kind of splice — re-adds, inserts below a list's last doc,
+// removal of a list's first and last record and of a block's last record,
+// whole blocks and whole lists emptied. At each checkpoint, every query
+// method must answer exactly like a fresh index built from the model, and
+// every posting list must be the same bytes.
 TEST_P(ModelSweep, InvertedIndexMatchesModelUnderChurn) {
   Rng rng(GetParam());
-  const char* kWords[] = {"red", "blue", "fox", "dog", "idm", "vldb"};
+  const std::vector<std::string> kCommon = {"red", "blue", "fox",
+                                            "dog", "idm", "vldb"};
+  std::vector<std::string> words = kCommon;
+  words.push_back("the");   // in every generated doc
+  words.push_back("rare");  // in about one in thirty
+  // Id slot i is doc id i * kStride: a one-byte doc delta that grows to two
+  // bytes when the record in between goes, so splices shift later blocks'
+  // record offsets by something other than the removed record's length.
+  constexpr DocId kSlots = 2048;
+  constexpr DocId kLoaded = kSlots * 7 / 8;
+  constexpr DocId kStride = 97;
   InvertedIndex index;
   std::map<DocId, std::string> model;
 
-  auto random_doc = [&]() {
-    std::string doc;
-    size_t n = 1 + rng.Uniform(8);
-    for (size_t i = 0; i < n; ++i) {
-      if (i > 0) doc += ' ';
-      doc += kWords[rng.Uniform(std::size(kWords))];
+  auto add = [&](DocId id, std::string text = "") {
+    if (text.empty()) {
+      text = "the";
+      for (size_t i = 0, n = 1 + rng.Uniform(8); i < n; ++i) {
+        text += " " + kCommon[rng.Uniform(kCommon.size())];
+      }
+      if (rng.Chance(1.0 / 30)) text += " rare";
     }
-    return doc;
+    index.AddDocument(id, text);
+    model[id] = text;
+  };
+  auto remove = [&](DocId id) {
+    index.RemoveDocument(id);
+    model.erase(id);
+  };
+  // Live ids whose text holds \p word, ascending (the word's posting list).
+  auto list_of = [&](const std::string& word) {
+    std::vector<DocId> ids;
+    for (const auto& [id, text] : model) {
+      if ((" " + text + " ").find(" " + word + " ") != std::string::npos) {
+        ids.push_back(id);
+      }
+    }
+    return ids;
   };
 
-  for (int step = 0; step < 400; ++step) {
-    DocId id = rng.Uniform(40);
-    if (rng.Chance(0.7)) {
-      std::string doc = random_doc();
-      index.AddDocument(id, doc);
-      model[id] = doc;
-    } else {
-      index.RemoveDocument(id);
-      model.erase(id);
-    }
-    if (step % 20 != 0) continue;
-    // Verify every term.
-    for (const char* word : kWords) {
-      std::vector<DocId> expected;
-      for (const auto& [doc_id, text] : model) {
-        std::string padded = " " + text + " ";
-        if (padded.find(std::string(" ") + word + " ") != std::string::npos) {
-          expected.push_back(doc_id);
-        }
-      }
-      EXPECT_EQ(index.TermQuery(word), expected) << word << " at step " << step;
-    }
+  auto check = [&](const std::string& when) {
+    SCOPED_TRACE(when);
+    InvertedIndex fresh;
+    for (const auto& [id, text] : model) fresh.AddDocument(id, text);
     EXPECT_EQ(index.doc_count(), model.size());
+    EXPECT_EQ(index.total_tokens(), fresh.total_tokens());
+    for (const std::string& word : words) {
+      EXPECT_EQ(fresh.TermQuery(word), list_of(word)) << word;
+      EXPECT_EQ(index.TermDocs(word), fresh.TermDocs(word)) << word;
+      EXPECT_EQ(index.TermQuery(word), fresh.TermQuery(word)) << word;
+      EXPECT_EQ(index.TermTfDocs(word), fresh.TermTfDocs(word)) << word;
+      EXPECT_EQ(index.TermQueryWithTf(word), fresh.TermQueryWithTf(word))
+          << word;
+      for (const std::string& other : words) {
+        const std::string phrase = word + " " + other;
+        EXPECT_EQ(index.AndDocs({word, other}), fresh.AndDocs({word, other}))
+            << phrase;
+        EXPECT_EQ(index.PhraseDocs(phrase), fresh.PhraseDocs(phrase))
+            << phrase;
+        EXPECT_EQ(index.PhraseQuery(phrase), fresh.PhraseQuery(phrase))
+            << phrase;
+      }
+    }
+    EXPECT_EQ(PostingImages(index), PostingImages(fresh));
+  };
+
+  // Bulk load in id order over most slots, leaving gaps for inserts and
+  // room above for appends.
+  for (DocId slot = 0; slot < kLoaded; ++slot) {
+    if (rng.Chance(0.85)) add(slot * kStride);
+  }
+  ASSERT_GE(list_of("the").size(), 10u * 128u);
+  ASSERT_GE(list_of("red").size(), 400u);
+  check("bulk load");
+
+  // Scripted splices on freshly built blocks of 128 postings: remove the
+  // last record of the first blocks of "the", whose successors open the
+  // next blocks; empty whole blocks of "red"; empty "rare", then refill it
+  // by appends and an insert below its last doc.
+  index.TermDocs("the");
+  const std::vector<DocId> the = list_of("the");
+  for (size_t block = 1; block <= 4; ++block) remove(the[block * 128 - 1]);
+  const std::vector<DocId> red = list_of("red");
+  for (size_t i = 100; i < 400; ++i) remove(red[i]);
+  for (DocId id : list_of("rare")) remove(id);
+  EXPECT_TRUE(index.TermDocs("rare").empty());
+  const DocId top = model.rbegin()->first;
+  add(top + kStride, "the rare");
+  add(top + 3 * kStride, "rare the rare");
+  add(top + 2 * kStride, "the rare red");
+  check("scripted splices");
+
+  for (int step = 0; step < 600; ++step) {
+    const std::string& word = words[rng.Uniform(words.size())];
+    const double op = rng.NextDouble();
+    if (op < 0.15) {
+      // Blocked reads: build or touch the block indexes the writes edit.
+      const std::string phrase =
+          word + " " + words[rng.Uniform(words.size())];
+      EXPECT_EQ(index.TermDocs(word), index.TermQuery(word)) << step;
+      EXPECT_EQ(index.PhraseDocs(phrase), index.PhraseQuery(phrase)) << step;
+    } else if (op < 0.35) {
+      // A re-add of a live id, or an insert into a gap below the lists'
+      // last docs.
+      add(rng.Uniform(kLoaded) * kStride);
+    } else if (op < 0.45) {
+      // An append above every list's last doc.
+      add(model.empty() ? 0 : model.rbegin()->first + kStride);
+    } else if (op < 0.65) {
+      if (!model.empty()) {
+        auto it = model.lower_bound(rng.Uniform(kSlots) * kStride);
+        remove(it == model.end() ? model.begin()->first : it->first);
+      }
+    } else if (op < 0.85) {
+      // Removal of the word's first or last record.
+      const std::vector<DocId> ids = list_of(word);
+      if (!ids.empty()) remove(rng.Chance(0.5) ? ids.front() : ids.back());
+    } else {
+      remove(rng.Uniform(kSlots * 2) * kStride);  // often not indexed
+    }
+    if (step % 100 == 99) check("step " + std::to_string(step));
   }
 }
 
