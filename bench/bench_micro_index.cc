@@ -2,11 +2,9 @@
 // index build/lookup, tuple-index range scans, name-index wildcard lookups,
 // group-store reachability. These are the primitives behind Fig. 5/6.
 //
-// After the google-benchmark tables, main() measures the engine axis —
-// merge-based postings scans (the interpreter's primitive) vs the
-// block-compressed decoders (the VM's, DESIGN.md §16) — at 10x the micro
-// scale and writes the rows to BENCH_micro_parallel.json in the
-// BENCH_parallel.json row schema.
+// After the google-benchmark tables, main() times the block-compressed
+// postings reads (DESIGN.md §16) at 10x the micro scale and writes the
+// rows to BENCH_micro_parallel.json in the BENCH_parallel.json row schema.
 
 #include <benchmark/benchmark.h>
 
@@ -49,28 +47,7 @@ void BM_InvertedIndexAdd(benchmark::State& state) {
 }
 BENCHMARK(BM_InvertedIndexAdd)->Arg(100)->Arg(1000)->Arg(4000);
 
-void BM_InvertedIndexPhrase(benchmark::State& state) {
-  auto docs = MakeDocs(static_cast<size_t>(state.range(0)), 120);
-  index::InvertedIndex idx;
-  for (DocId id = 0; id < docs.size(); ++id) idx.AddDocument(id, docs[id]);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.PhraseQuery("the data"));
-  }
-}
-BENCHMARK(BM_InvertedIndexPhrase)->Arg(1000)->Arg(10000);
-
-void BM_InvertedIndexTerm(benchmark::State& state) {
-  auto docs = MakeDocs(static_cast<size_t>(state.range(0)), 120);
-  index::InvertedIndex idx;
-  for (DocId id = 0; id < docs.size(); ++id) idx.AddDocument(id, docs[id]);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.TermQuery("database"));
-  }
-}
-BENCHMARK(BM_InvertedIndexTerm)->Arg(1000)->Arg(10000);
-
-// Blocked decoders (the VM's primitives) against the same index shapes as
-// the merge-based benchmarks above.
+// Blocked decoders (the VM's postings reads).
 void BM_InvertedIndexPhraseBlocked(benchmark::State& state) {
   auto docs = MakeDocs(static_cast<size_t>(state.range(0)), 120);
   index::InvertedIndex idx;
@@ -159,10 +136,9 @@ double MsNow() {
       .count();
 }
 
-// The engine axis at 10x the micro scale: merge-based scans (interpreter
-// primitive) vs blocked decoders (VM primitive), p50 over repeated runs,
-// results verified identical pairwise.
-int EmitEngineAxis() {
+// The blocked postings reads at 10x the micro scale, p50 over repeated
+// runs, each run checked to give the first run's answer.
+int EmitBlockedTimings() {
   constexpr size_t kDocs = 100000;  // 10x the largest google-benchmark arg
   constexpr int kRuns = 9;
   auto docs = MakeDocs(kDocs, 120);
@@ -171,63 +147,48 @@ int EmitEngineAxis() {
 
   struct Scenario {
     const char* name;
-    std::function<std::vector<DocId>()> interp;
-    std::function<std::vector<DocId>()> vm;
+    std::function<std::vector<DocId>()> read;
   };
   const std::vector<Scenario> kScenarios = {
-      {"term", [&] { return idx.TermQuery("database"); },
-       [&] { return idx.TermDocs("database"); }},
-      {"and2", [&] { return idx.AndQuery({"database", "data"}); },
-       [&] { return idx.AndDocs({"database", "data"}); }},
-      {"and3", [&] { return idx.AndQuery({"database", "data", "the"}); },
-       [&] { return idx.AndDocs({"database", "data", "the"}); }},
-      {"phrase2", [&] { return idx.PhraseQuery("the data"); },
-       [&] { return idx.PhraseDocs("the data"); }},
+      {"term", [&] { return idx.TermDocs("database"); }},
+      {"and2", [&] { return idx.AndDocs({"database", "data"}); }},
+      {"and3", [&] { return idx.AndDocs({"database", "data", "the"}); }},
+      {"phrase2", [&] { return idx.PhraseDocs("the data"); }},
   };
 
-  std::printf("\nEngine axis at %zu docs (p50 of %d runs)\n", kDocs, kRuns);
-  bench::Rule(64);
-  std::printf("%-8s %14s %14s %10s %6s\n", "", "interp [ms]", "vm [ms]",
-              "speedup", "same");
-  bench::Rule(64);
+  std::printf("\nBlocked postings reads at %zu docs (p50 of %d runs)\n", kDocs,
+              kRuns);
+  bench::Rule(40);
+  std::printf("%-8s %14s %6s\n", "", "p50 [ms]", "same");
+  bench::Rule(40);
   std::vector<bench::ParallelBenchRow> rows;
   bool all_same = true;
   for (const Scenario& scenario : kScenarios) {
-    std::vector<DocId> expect = scenario.interp();
-    bool same = scenario.vm() == expect;  // also builds the blocks
+    std::vector<DocId> expect = scenario.read();  // also builds the blocks
+    bool same = true;
+    std::vector<double> times;
+    for (int run = 0; run < kRuns; ++run) {
+      double t0 = MsNow();
+      std::vector<DocId> got = scenario.read();
+      times.push_back(MsNow() - t0);
+      same = same && got == expect;
+    }
     all_same = all_same && same;
-    double p50s[2];
-    const std::function<std::vector<DocId>()>* fns[2] = {&scenario.interp,
-                                                         &scenario.vm};
-    for (int e = 0; e < 2; ++e) {
-      std::vector<double> times;
-      for (int run = 0; run < kRuns; ++run) {
-        double t0 = MsNow();
-        std::vector<DocId> got = (*fns[e])();
-        times.push_back(MsNow() - t0);
-        same = same && got == expect;
-      }
-      p50s[e] = bench::Median(times);
-    }
-    std::printf("%-8s %14.4f %14.4f %9.2fx %6s\n", scenario.name, p50s[0],
-                p50s[1], p50s[1] > 0 ? p50s[0] / p50s[1] : 0,
-                same ? "YES" : "NO");
-    for (int e = 0; e < 2; ++e) {
-      bench::ParallelBenchRow row;
-      row.name = scenario.name;
-      row.mode = "engine";
-      row.engine = e == 0 ? "interp" : "vm";
-      row.threads = 1;
-      row.serial_ms = p50s[0];
-      row.mean_ms = p50s[e];
-      row.p50_ms = p50s[e];
-      row.speedup = p50s[e] > 0 ? p50s[0] / p50s[e] : 0;
-      row.ops_per_sec = p50s[e] > 0 ? 1000.0 / p50s[e] : 0;
-      row.identical_to_serial = same;
-      rows.push_back(row);
-    }
+    const double p50 = bench::Median(times);
+    std::printf("%-8s %14.4f %6s\n", scenario.name, p50, same ? "YES" : "NO");
+    bench::ParallelBenchRow row;
+    row.name = scenario.name;
+    row.mode = "serial";
+    row.threads = 1;
+    row.serial_ms = p50;
+    row.mean_ms = p50;
+    row.p50_ms = p50;
+    row.speedup = 1.0;
+    row.ops_per_sec = p50 > 0 ? 1000.0 / p50 : 0;
+    row.identical_to_serial = same;
+    rows.push_back(row);
   }
-  bench::Rule(64);
+  bench::Rule(40);
   std::printf("postings memory: blocked %s MB <= uncompressed %s MB: %s\n",
               bench::Mb(idx.CompressedPostingsBytes()).c_str(),
               bench::Mb(idx.UncompressedPostingsBytes()).c_str(),
@@ -253,5 +214,5 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  return EmitEngineAxis();
+  return EmitBlockedTimings();
 }

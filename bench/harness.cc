@@ -97,13 +97,13 @@ bool WriteParallelJson(const std::string& path, const BenchMeta& meta,
   for (size_t i = 0; i < rows.size(); ++i) {
     const ParallelBenchRow& r = rows[i];
     std::fprintf(f,
-                 "    {\"name\": \"%s\", \"mode\": \"%s\", \"engine\": \"%s\", "
+                 "    {\"name\": \"%s\", \"mode\": \"%s\", "
                  "\"threads\": %zu, "
                  "\"serial_ms\": %.4f, \"mean_ms\": %.4f, \"p50_ms\": %.4f, "
                  "\"speedup\": %.3f, "
                  "\"ops_per_sec\": %.2f, \"cache_hit_rate\": %.3f, "
                  "\"identical_to_serial\": %s}%s\n",
-                 r.name.c_str(), r.mode.c_str(), r.engine.c_str(), r.threads,
+                 r.name.c_str(), r.mode.c_str(), r.threads,
                  r.serial_ms, r.mean_ms, r.p50_ms, r.speedup, r.ops_per_sec,
                  r.cache_hit_rate, r.identical_to_serial ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");

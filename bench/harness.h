@@ -64,13 +64,12 @@ std::string MetaJson(const BenchMeta& meta);
 /// (scenario, configuration) measurement from the scaling/fig6 benches.
 struct ParallelBenchRow {
   std::string name;        ///< query / scenario id (e.g. "Q8")
-  std::string mode;        ///< "serial" | "threads" | "cache" | "engine"
-  std::string engine = "vm";  ///< execution engine axis ("interp" | "vm")
+  std::string mode;        ///< "serial" | "threads" | "cache"
   size_t threads = 1;
-  double serial_ms = 0;    ///< baseline mean (interp serial for mode=engine)
+  double serial_ms = 0;    ///< baseline mean
   double mean_ms = 0;      ///< this configuration's mean time
   double p50_ms = 0;       ///< this configuration's median time (0 = n/a)
-  double speedup = 0;      ///< serial_ms / mean_ms (p50-based for engine rows)
+  double speedup = 0;      ///< serial_ms / mean_ms
   double ops_per_sec = 0;  ///< 1000 / mean_ms
   double cache_hit_rate = 0;        ///< hits / lookups while measuring
   bool identical_to_serial = true;  ///< differential check outcome

@@ -63,28 +63,6 @@ void InvertedIndex::AppendRecord(TermList* list, DocId doc,
   ++list->doc_count;
 }
 
-std::vector<InvertedIndex::DecodedPosting> InvertedIndex::Decode(
-    const TermList& list) {
-  std::vector<DecodedPosting> out;
-  out.reserve(list.doc_count);
-  size_t pos = 0;
-  DocId doc = 0;
-  for (uint32_t i = 0; i < list.doc_count; ++i) {
-    doc += GetVarint(list.blob, &pos);
-    uint64_t count = GetVarint(list.blob, &pos);
-    DecodedPosting posting;
-    posting.doc = doc;
-    posting.positions.reserve(count);
-    uint32_t position = 0;
-    for (uint64_t j = 0; j < count; ++j) {
-      position += static_cast<uint32_t>(GetVarint(list.blob, &pos));
-      posting.positions.push_back(position);
-    }
-    out.push_back(std::move(posting));
-  }
-  return out;
-}
-
 uint32_t InvertedIndex::InternTerm(const std::string& term) {
   auto it = term_ids_.find(term);
   if (it != term_ids_.end()) return it->second;
@@ -175,131 +153,11 @@ void InvertedIndex::RemoveDocument(DocId id) {
   doc_terms_.erase(it);
 }
 
-std::vector<DocId> InvertedIndex::TermQuery(const std::string& term,
-                                            util::ExecContext* ctx) const {
-  std::vector<std::string> normalized = PhraseTerms(term);
-  if (normalized.size() != 1) return AndQuery(normalized, ctx);
-  const TermList* list = FindList(normalized[0]);
-  if (list == nullptr) return {};
-  std::vector<DocId> out;
-  out.reserve(list->doc_count);
-  size_t pos = 0;
-  DocId doc = 0;
-  for (uint32_t i = 0; i < list->doc_count; ++i) {
-    if (ctx != nullptr && !ctx->TickAlive()) break;  // one step per posting
-    doc += GetVarint(list->blob, &pos);
-    uint64_t count = GetVarint(list->blob, &pos);
-    for (uint64_t j = 0; j < count; ++j) GetVarint(list->blob, &pos);
-    out.push_back(doc);
-  }
-  return out;
-}
-
-std::vector<std::pair<DocId, uint32_t>> InvertedIndex::TermQueryWithTf(
-    const std::string& term, util::ExecContext* ctx) const {
-  std::vector<std::pair<DocId, uint32_t>> out;
-  std::vector<std::string> normalized = PhraseTerms(term);
-  if (normalized.size() != 1) return out;  // single terms only
-  const TermList* list = FindList(normalized[0]);
-  if (list == nullptr) return out;
-  out.reserve(list->doc_count);
-  size_t pos = 0;
-  DocId doc = 0;
-  for (uint32_t i = 0; i < list->doc_count; ++i) {
-    if (ctx != nullptr && !ctx->TickAlive()) break;
-    doc += GetVarint(list->blob, &pos);
-    uint64_t count = GetVarint(list->blob, &pos);
-    for (uint64_t j = 0; j < count; ++j) GetVarint(list->blob, &pos);
-    out.emplace_back(doc, static_cast<uint32_t>(count));
-  }
-  return out;
-}
-
 size_t InvertedIndex::DocumentFrequency(const std::string& term) const {
   std::vector<std::string> normalized = PhraseTerms(term);
   if (normalized.size() != 1) return 0;
   const TermList* list = FindList(normalized[0]);
   return list == nullptr ? 0 : list->doc_count;
-}
-
-std::vector<DocId> InvertedIndex::AndQuery(
-    const std::vector<std::string>& terms, util::ExecContext* ctx) const {
-  if (terms.empty()) return {};
-  std::vector<DocId> acc = TermQuery(terms[0], ctx);
-  for (size_t i = 1; i < terms.size() && !acc.empty(); ++i) {
-    if (ctx != nullptr && ctx->doomed()) break;
-    std::vector<DocId> next = TermQuery(terms[i], ctx);
-    std::vector<DocId> merged;
-    std::set_intersection(acc.begin(), acc.end(), next.begin(), next.end(),
-                          std::back_inserter(merged));
-    acc = std::move(merged);
-  }
-  return acc;
-}
-
-std::vector<DocId> InvertedIndex::OrQuery(const std::vector<std::string>& terms,
-                                          util::ExecContext* ctx) const {
-  std::vector<DocId> acc;
-  for (const std::string& term : terms) {
-    if (ctx != nullptr && ctx->doomed()) break;
-    std::vector<DocId> next = TermQuery(term, ctx);
-    std::vector<DocId> merged;
-    std::set_union(acc.begin(), acc.end(), next.begin(), next.end(),
-                   std::back_inserter(merged));
-    acc = std::move(merged);
-  }
-  return acc;
-}
-
-std::vector<DocId> InvertedIndex::PhraseQuery(const std::string& phrase,
-                                              util::ExecContext* ctx) const {
-  std::vector<std::string> terms = PhraseTerms(phrase);
-  if (terms.empty()) return {};
-  if (terms.size() == 1) return TermQuery(terms[0], ctx);
-
-  std::vector<std::vector<DecodedPosting>> decoded;
-  decoded.reserve(terms.size());
-  for (const std::string& term : terms) {
-    const TermList* list = FindList(term);
-    if (list == nullptr) return {};  // a missing term kills the phrase
-    decoded.push_back(Decode(*list));
-  }
-
-  auto find_doc = [](const std::vector<DecodedPosting>& postings,
-                     DocId id) -> const std::vector<uint32_t>* {
-    auto it = std::lower_bound(
-        postings.begin(), postings.end(), id,
-        [](const DecodedPosting& p, DocId d) { return p.doc < d; });
-    return (it != postings.end() && it->doc == id) ? &it->positions : nullptr;
-  };
-
-  std::vector<DocId> out;
-  for (const DecodedPosting& first : decoded[0]) {
-    if (ctx != nullptr && !ctx->TickAlive()) break;
-    bool all_present = true;
-    for (size_t k = 1; k < decoded.size() && all_present; ++k) {
-      all_present = find_doc(decoded[k], first.doc) != nullptr;
-    }
-    if (!all_present) continue;
-    bool matched = false;
-    for (uint32_t start : first.positions) {
-      bool consecutive = true;
-      for (size_t k = 1; k < decoded.size(); ++k) {
-        const std::vector<uint32_t>* positions = find_doc(decoded[k], first.doc);
-        if (!std::binary_search(positions->begin(), positions->end(),
-                                start + static_cast<uint32_t>(k))) {
-          consecutive = false;
-          break;
-        }
-      }
-      if (consecutive) {
-        matched = true;
-        break;
-      }
-    }
-    if (matched) out.push_back(first.doc);
-  }
-  return out;
 }
 
 namespace {
@@ -652,8 +510,20 @@ bool InvertedIndex::PositionCursor::Advance(DocId doc,
   return false;
 }
 
+std::vector<DocId> InvertedIndex::BlockDocs(const BlockIndex& blocks,
+                                            util::ExecContext* ctx) {
+  std::vector<DocId> out;
+  out.reserve(blocks.tf.size());
+  for (const PostingBlock& block : blocks.blocks) {
+    if (ctx != nullptr && !ctx->TickAlive(block.count)) break;
+    AppendBlockDocs(block, &out);
+  }
+  return out;
+}
+
 std::vector<DocId> InvertedIndex::IntersectWithBlocks(
-    const std::vector<DocId>& acc, const BlockIndex& blocks) const {
+    const std::vector<DocId>& acc, const BlockIndex& blocks,
+    util::ExecContext* ctx) const {
   std::vector<DocId> out;
   if (acc.empty() || blocks.blocks.empty()) return out;
   std::vector<DocId> scratch;
@@ -669,6 +539,7 @@ std::vector<DocId> InvertedIndex::IntersectWithBlocks(
       blocks_skipped_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
+    if (ctx != nullptr && !ctx->TickAlive(block.count)) break;
     scratch.clear();
     AppendBlockDocs(block, &scratch);
     auto lo = std::lower_bound(acc_it, acc.end(), block.first);
@@ -681,16 +552,13 @@ std::vector<DocId> InvertedIndex::IntersectWithBlocks(
   return out;
 }
 
-std::vector<DocId> InvertedIndex::TermDocs(const std::string& term) const {
+std::vector<DocId> InvertedIndex::TermDocs(const std::string& term,
+                                           util::ExecContext* ctx) const {
   std::vector<std::string> normalized = PhraseTerms(term);
-  if (normalized.size() != 1) return AndDocs(normalized);
+  if (normalized.size() != 1) return AndDocs(normalized, ctx);
   auto it = term_ids_.find(normalized[0]);
   if (it == term_ids_.end()) return {};
-  const BlockIndex* blocks = BlockedFor(it->second);
-  std::vector<DocId> out;
-  out.reserve(lists_[it->second].doc_count);
-  for (const PostingBlock& block : blocks->blocks) AppendBlockDocs(block, &out);
-  return out;
+  return BlockDocs(*BlockedFor(it->second), ctx);
 }
 
 std::vector<std::pair<DocId, uint32_t>> InvertedIndex::TermTfDocs(
@@ -700,9 +568,7 @@ std::vector<std::pair<DocId, uint32_t>> InvertedIndex::TermTfDocs(
   auto it = term_ids_.find(normalized[0]);
   if (it == term_ids_.end()) return {};
   const BlockIndex* blocks = BlockedFor(it->second);
-  std::vector<DocId> docs;
-  docs.reserve(lists_[it->second].doc_count);
-  for (const PostingBlock& block : blocks->blocks) AppendBlockDocs(block, &docs);
+  std::vector<DocId> docs = BlockDocs(*blocks, nullptr);
   std::vector<std::pair<DocId, uint32_t>> out;
   out.reserve(docs.size());
   for (size_t i = 0; i < docs.size(); ++i) {
@@ -711,8 +577,8 @@ std::vector<std::pair<DocId, uint32_t>> InvertedIndex::TermTfDocs(
   return out;
 }
 
-std::vector<DocId> InvertedIndex::AndDocs(
-    const std::vector<std::string>& terms) const {
+std::vector<DocId> InvertedIndex::AndDocs(const std::vector<std::string>& terms,
+                                          util::ExecContext* ctx) const {
   if (terms.empty()) return {};
   // Resolve all terms first (a missing term empties the intersection),
   // then fold starting from the rarest list — the accumulator can only
@@ -731,20 +597,18 @@ std::vector<DocId> InvertedIndex::AndDocs(
     return lists_[a].doc_count < lists_[b].doc_count;
   });
   tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
-  std::vector<DocId> acc;
-  const BlockIndex* first = BlockedFor(tids[0]);
-  acc.reserve(lists_[tids[0]].doc_count);
-  for (const PostingBlock& block : first->blocks) AppendBlockDocs(block, &acc);
+  std::vector<DocId> acc = BlockDocs(*BlockedFor(tids[0]), ctx);
   for (size_t i = 1; i < tids.size() && !acc.empty(); ++i) {
-    acc = IntersectWithBlocks(acc, *BlockedFor(tids[i]));
+    acc = IntersectWithBlocks(acc, *BlockedFor(tids[i]), ctx);
   }
   return acc;
 }
 
-std::vector<DocId> InvertedIndex::PhraseDocs(const std::string& phrase) const {
+std::vector<DocId> InvertedIndex::PhraseDocs(const std::string& phrase,
+                                             util::ExecContext* ctx) const {
   std::vector<std::string> terms = PhraseTerms(phrase);
   if (terms.empty()) return {};
-  if (terms.size() == 1) return TermDocs(terms[0]);
+  if (terms.size() == 1) return TermDocs(terms[0], ctx);
 
   std::vector<uint32_t> tids;
   tids.reserve(terms.size());
@@ -755,9 +619,10 @@ std::vector<DocId> InvertedIndex::PhraseDocs(const std::string& phrase) const {
   }
 
   // Candidate docs: block-skip intersection of all term doc sets, rarest
-  // first. Only the survivors ever have positions decoded — the classic
-  // PhraseQuery decodes every position of every term up front.
-  std::vector<DocId> candidates = AndDocs(terms);
+  // first. Only the survivors ever have positions decoded. A governed
+  // read that stops early leaves a prefix of the candidates, and so a
+  // prefix of the phrase's documents.
+  std::vector<DocId> candidates = AndDocs(terms, ctx);
   if (candidates.empty()) return candidates;
 
   // One forward-only cursor per term: candidates are sorted, so each

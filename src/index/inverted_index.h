@@ -1,7 +1,7 @@
 // Inverted full-text index with positional postings: the from-scratch
 // replacement for the Apache Lucene indexes of the paper's prototype
 // (§7.2: the Name Index&Replica and the Content Index). Supports term,
-// boolean AND/OR and exact phrase queries. Not a replica: original text is
+// boolean AND and exact phrase queries. Not a replica: original text is
 // not retained (paper: "that index is not able to return the original
 // content component").
 //
@@ -14,20 +14,18 @@
 // encoding of its postings, so Serialize() images do not depend on the
 // order of writes.
 //
-// Block acceleration (DESIGN.md §16): on top of the blob each term lazily
-// gets a block index — runs of about kBlockDocs doc ids, each block
-// encoded as delta varints or a bitset (whichever is smaller) with its
-// [first, last] doc range acting as a skip pointer and the byte offset of
-// its first blob record kept for targeted position decoding.
-// TermDocs/AndDocs/PhraseDocs answer from blocks with block-wise
-// range-skipping intersection and decode positions only for intersection
-// survivors; results are identical to the ExecContext-free TermQuery/
-// AndQuery/PhraseQuery. A splice finds its record through the term's
-// block index (building it on first touch). Writes keep a resident block
-// index current instead of dropping it: an append extends or opens the
-// tail block, and a splice re-encodes only its own block, so block sizes
-// drift from kBlockDocs until the index is rebuilt (copy or restart).
-// Nothing about Serialize()'s format depends on blocks.
+// Reads go through blocks (DESIGN.md §16): each term lazily gets a block
+// index — runs of about kBlockDocs doc ids, each block encoded as delta
+// varints or a bitset (whichever is smaller) with its [first, last] doc
+// range acting as a skip pointer and the byte offset of its first blob
+// record kept for targeted position decoding. TermDocs/AndDocs/PhraseDocs
+// answer with block-wise range-skipping intersection and decode positions
+// only for intersection survivors. A splice finds its record through the
+// term's block index (building it on first touch). Writes keep a resident
+// block index current instead of dropping it: an append extends or opens
+// the tail block, and a splice re-encodes only its own block, so block
+// sizes drift from kBlockDocs until the index is rebuilt (copy or
+// restart). Nothing about Serialize()'s format depends on blocks.
 
 #ifndef IDM_INDEX_INVERTED_INDEX_H_
 #define IDM_INDEX_INVERTED_INDEX_H_
@@ -64,51 +62,35 @@ class InvertedIndex {
   /// Removes a document from all posting lists. Unknown ids are a no-op.
   void RemoveDocument(DocId id);
 
-  /// Ids whose text contains \p term (normalized), sorted ascending.
-  ///
-  /// All query methods take an optional ExecContext: under governance each
-  /// decoded posting counts one step and a doomed context stops the scan,
-  /// leaving a truncated (still sorted) result — callers must check
-  /// ctx->status() before treating it as complete.
-  std::vector<DocId> TermQuery(const std::string& term,
-                               util::ExecContext* ctx = nullptr) const;
-
-  /// Ids containing *all* terms, sorted ascending.
-  std::vector<DocId> AndQuery(const std::vector<std::string>& terms,
-                              util::ExecContext* ctx = nullptr) const;
-
-  /// Ids containing *any* term, sorted ascending.
-  std::vector<DocId> OrQuery(const std::vector<std::string>& terms,
-                             util::ExecContext* ctx = nullptr) const;
-
-  /// Ids containing the terms of \p phrase at consecutive positions. A
-  /// single-term phrase degenerates to TermQuery; an empty phrase matches
-  /// nothing.
-  std::vector<DocId> PhraseQuery(const std::string& phrase,
-                                 util::ExecContext* ctx = nullptr) const;
-
-  /// Like TermQuery, but also returns each document's term frequency
-  /// (occurrence count) — the raw material for tf-idf ranking.
-  std::vector<std::pair<DocId, uint32_t>> TermQueryWithTf(
-      const std::string& term, util::ExecContext* ctx = nullptr) const;
-
   /// Documents containing \p term (document frequency), for idf weights.
   size_t DocumentFrequency(const std::string& term) const;
 
-  /// --- blocked (compressed, skip-pointer) query path ----------------------
-  /// Same answers as the ungoverned TermQuery/AndQuery/PhraseQuery, served
-  /// from the per-term block indexes. No ExecContext parameter on purpose:
-  /// governed evaluation must tick per posting in blob order and therefore
-  /// takes the classic methods; the blocked path is the fast lane for
-  /// ungoverned (complete-result) execution. Thread-safe against other
-  /// readers; not against concurrent mutation (like every query method).
-  std::vector<DocId> TermDocs(const std::string& term) const;
-  std::vector<DocId> AndDocs(const std::vector<std::string>& terms) const;
-  std::vector<DocId> PhraseDocs(const std::string& phrase) const;
-  /// Same pairs as TermQueryWithTf, zipped from the block index and its
-  /// tf sidecar — ranking without re-skipping the blob's position
-  /// varints. Ranking never ticks (in either engine), so this has no
-  /// governed counterpart.
+  /// --- queries ---------------------------------------------------------
+  /// All answers are sorted ascending and served from the per-term block
+  /// indexes. The optional ExecContext governs the read: each block a
+  /// query decodes is charged its posting count (one step per posting,
+  /// checked once per block), and a doomed context stops the read before
+  /// that block's ids are used. The truncated answer is then a prefix of
+  /// the complete one; callers must check ctx->status() before treating
+  /// it as complete. Thread-safe against other readers; not against
+  /// concurrent mutation.
+  ///
+  /// Ids whose text contains \p term (normalized); a multi-token \p term
+  /// is an AndDocs over its tokens.
+  std::vector<DocId> TermDocs(const std::string& term,
+                              util::ExecContext* ctx = nullptr) const;
+  /// Ids containing *all* terms.
+  std::vector<DocId> AndDocs(const std::vector<std::string>& terms,
+                             util::ExecContext* ctx = nullptr) const;
+  /// Ids containing the terms of \p phrase at consecutive positions. A
+  /// single-term phrase degenerates to TermDocs; an empty phrase matches
+  /// nothing.
+  std::vector<DocId> PhraseDocs(const std::string& phrase,
+                                util::ExecContext* ctx = nullptr) const;
+  /// Each document containing the single term \p term with its term
+  /// frequency (occurrence count), zipped from the block index and its tf
+  /// sidecar — the raw material for tf-idf ranking. Ranking never ticks,
+  /// so this read is ungoverned.
   std::vector<std::pair<DocId, uint32_t>> TermTfDocs(
       const std::string& term) const;
 
@@ -151,11 +133,6 @@ class InvertedIndex {
     std::string blob;    ///< varint records, ascending doc order
   };
 
-  struct DecodedPosting {
-    DocId doc;
-    std::vector<uint32_t> positions;
-  };
-
   /// One block of consecutive postings of a term: kBlockDocs when built,
   /// then one more or fewer per splice. [first, last] is the skip pointer;
   /// record_offset points at the block's first record in TermList::blob
@@ -182,7 +159,6 @@ class InvertedIndex {
 
   uint32_t InternTerm(const std::string& term);
   const TermList* FindList(const std::string& raw_term) const;
-  static std::vector<DecodedPosting> Decode(const TermList& list);
   static void AppendRecord(TermList* list, DocId doc,
                            const std::vector<uint32_t>& positions);
   /// Removes \p doc's record from term \p tid's list (\p positions null)
@@ -225,9 +201,15 @@ class InvertedIndex {
     /// the cursor has already streamed past it).
     bool Advance(DocId doc, std::vector<uint32_t>* out);
   };
-  /// acc ∩ term-docs via block-range skipping; counts skipped blocks.
+  /// The doc ids of \p blocks, stopping before the first block \p ctx
+  /// refuses (see the query section).
+  static std::vector<DocId> BlockDocs(const BlockIndex& blocks,
+                                      util::ExecContext* ctx);
+  /// acc ∩ term-docs via block-range skipping; counts skipped blocks and
+  /// charges \p ctx for the blocks it decodes.
   std::vector<DocId> IntersectWithBlocks(const std::vector<DocId>& acc,
-                                         const BlockIndex& blocks) const;
+                                         const BlockIndex& blocks,
+                                         util::ExecContext* ctx) const;
 
   std::unordered_map<std::string, uint32_t> term_ids_;
   std::vector<TermList> lists_;

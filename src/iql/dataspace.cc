@@ -658,7 +658,6 @@ DataspaceStats Dataspace::Stats() const {
     stats.pool = processor_->pool()->telemetry();
   }
   if (obs_ != nullptr) stats.metrics = obs_->metrics().Snapshot();
-  stats.engine = processor_->engine_stats();
   stats.postings = module_.content().block_stats();
   return stats;
 }

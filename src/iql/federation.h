@@ -129,9 +129,6 @@ class Federation {
   Result<FederatedResult> Query(const std::string& iql,
                                 util::ExecContext* ctx) const;
 
-  /// Federation-side per-peer cache statistics.
-  QueryCache::Stats cache_stats() const { return cache_.stats(); }
-
   /// Routes federation traces (obs::kFederationTrace — one span per peer
   /// RPC) and metrics into \p obs; nullptr detaches. The sink must outlive
   /// the federation. Typically the coordinator dataspace's observability().

@@ -4,9 +4,9 @@
 // A PlanProgram is a flat array of fixed-width PlanOps over virtual
 // registers, each register holding one batch of sorted candidate view ids.
 // Strings (phrases, name patterns, attributes) and comparison literals are
-// interned into per-program pools; sub-queries that the interpreter would
-// evaluate recursively (set-operator arms, join inputs, parallel and/or
-// arms) become nested sub-programs referenced by index. Lowering is
+// interned into per-program pools; sub-queries (set-operator arms, join
+// inputs, parallel and/or arms) become nested sub-programs referenced by
+// index. Lowering is
 // deterministic, so a program doubles as the query's *canonical* identity:
 // CanonicalQueryKey() flattens and sorts commutative operands (and/or
 // chains, union/intersect arms, except subtrahends), and its FNV-1a hash
@@ -85,8 +85,9 @@ struct JoinInfo {
 
 /// One compiled (sub-)program. Query-flavored programs produce a full
 /// QueryResult (they end in kMaterialize / kRankOrClear / kJoin);
-/// pred-flavored programs are parallel and/or arms: the executor seeds
-/// r[0] with the universe and reads the id batch from out_reg.
+/// pred-flavored programs are parallel and/or arms and membership tests:
+/// the executor seeds r[0] with the universe and reads the id batch from
+/// out_reg.
 struct PlanProgram {
   enum class Flavor { kQuery, kPred };
 

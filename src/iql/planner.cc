@@ -27,7 +27,7 @@ void Emit(PlanProgram* program, PlanOp op) {
   program->ops.push_back(op);
 }
 
-/// Mirrors Evaluation::CollectPhrases: phrases in predicate-tree order;
+/// Phrases in predicate-tree order, those under a `not` included;
 /// rankable goes false on any non-keyword leaf.
 void CollectPhrases(const PredNode& pred, std::vector<std::string>* phrases,
                     bool* rankable) {
@@ -50,11 +50,18 @@ void CollectPhrases(const PredNode& pred, std::vector<std::string>* phrases,
 
 }  // namespace
 
+bool Planner::IsRankable(const PredNode& filter) {
+  std::vector<std::string> phrases;
+  bool rankable = true;
+  CollectPhrases(filter, &phrases, &rankable);
+  return rankable && !phrases.empty();
+}
+
 std::unique_ptr<PlanProgram> Planner::Lower(const Query& query) const {
   std::unique_ptr<PlanProgram> program = LowerQueryProgram(query);
   // Only the root program's materialization runs governed (§10 prefix
-  // capture, the interpreter's root_ && depth_ == 1 condition): sub-program
-  // materializations (set-op arms, join inputs) stay ungoverned.
+  // capture): sub-program materializations (set-op arms, join inputs)
+  // stay ungoverned.
   for (PlanOp& op : program->ops) {
     if (op.code == OpCode::kMaterialize) op.flags |= 1;
   }
@@ -158,7 +165,7 @@ std::unique_ptr<PlanProgram> Planner::LowerQueryProgram(
   return program;
 }
 
-std::unique_ptr<PlanProgram> Planner::LowerPredProgram(
+std::unique_ptr<PlanProgram> Planner::LowerPredicate(
     const PredNode& pred) const {
   auto program = std::make_unique<PlanProgram>();
   program->flavor = PlanProgram::Flavor::kPred;
@@ -203,15 +210,15 @@ uint16_t Planner::LowerPred(const PredNode& pred, uint16_t universe,
       if (parallel_ && pred.children.size() > 1) {
         uint32_t first = static_cast<uint32_t>(program->subs.size());
         for (const auto& child : pred.children) {
-          program->subs.push_back(LowerPredProgram(*child));
+          program->subs.push_back(LowerPredicate(*child));
         }
         uint16_t out = NewReg(program);
         Emit(program, {OpCode::kParGroup, 0, out, universe,
                        static_cast<uint16_t>(pred.children.size()), 0, first});
         return out;
       }
-      // Serial accumulator chain with the interpreter's short-circuit:
-      // child i+1 runs only while the accumulator is non-empty.
+      // Serial accumulator chain with a short-circuit: child i+1 runs only
+      // while the accumulator is non-empty.
       uint16_t acc = NewReg(program);
       Emit(program, {OpCode::kMove, 0, acc, universe});
       std::vector<size_t> jumps;
@@ -231,7 +238,7 @@ uint16_t Planner::LowerPred(const PredNode& pred, uint16_t universe,
       if (parallel_ && pred.children.size() > 1) {
         uint32_t first = static_cast<uint32_t>(program->subs.size());
         for (const auto& child : pred.children) {
-          program->subs.push_back(LowerPredProgram(*child));
+          program->subs.push_back(LowerPredicate(*child));
         }
         uint16_t out = NewReg(program);
         Emit(program, {OpCode::kParGroup, 1, out, universe,

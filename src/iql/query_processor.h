@@ -20,19 +20,21 @@
 //       the paper's proposed remedy ("backward or bidirectional
 //       expansion") for Q8-style blowup, implemented.
 //
-// Parallel execution (DESIGN.md §8): with Options::threads > 1 the
-// processor owns a fixed util::ThreadPool and fans independent work out
-// across it — set-operator arms, or/and-children, join inputs, the probe
-// side of hash joins, class-conformance filters, and per-candidate
-// backward expansion. Every fan-out merges by *input order* (ordered
-// merge), so rows, columns, scores, and expanded_views are identical to a
-// serial run; only diagnostics (elapsed time, and in rare short-circuit
-// corners the rule annotation inside `plan`) may differ.
+// Execution (DESIGN.md §16): every query is lowered by the Planner into a
+// flat bytecode program (iql/plan.h) and run by the VM (iql/vm.h); the
+// rules above are the VM's operators. With Options::threads > 1 the
+// processor owns a fixed util::ThreadPool and programs fan independent
+// work out across it — set-operator arms, or/and-children, join inputs,
+// the probe side of hash joins, class-conformance filters, and
+// per-candidate backward expansion (DESIGN.md §8). Every fan-out merges
+// by *input order* (ordered merge), so rows, columns, scores, and
+// expanded_views are identical to a serial run; only diagnostics (elapsed
+// time, and in rare short-circuit corners the rule annotation inside
+// `plan`) may differ.
 
 #ifndef IDM_IQL_QUERY_PROCESSOR_H_
 #define IDM_IQL_QUERY_PROCESSOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -80,13 +82,6 @@ class QueryProcessor {
     kBackward,  ///< always BFS up from the candidates
   };
 
-  /// Which execution engine evaluates queries (DESIGN.md §16).
-  enum class Engine {
-    kInterp,  ///< tree-walking interpreter (the original evaluator)
-    kVm,      ///< planner + bytecode VM over batched postings (default)
-    kBoth,    ///< run both, assert byte-identical results (differential)
-  };
-
   struct Options {
     /// Cap on nodes touched by forward expansion per step.
     size_t max_expansion = 5U << 20;
@@ -103,9 +98,6 @@ class QueryProcessor {
     /// Minimum items per chunk before an element-wise scan is split
     /// across the pool (fan-out overhead guard).
     size_t min_parallel_chunk = 256;
-    /// Execution engine. The IDM_QUERY_ENGINE environment variable
-    /// ("interp" | "vm" | "both") overrides this at construction time.
-    Engine engine = Engine::kVm;
   };
 
   /// All pointers must outlive the processor. \p clock provides now() /
@@ -119,10 +111,10 @@ class QueryProcessor {
   ~QueryProcessor();
 
   /// Parses, plans and evaluates \p iql. The governed overloads thread
-  /// \p ctx through every evaluation loop (bounded-stride checks, see
-  /// util/exec_context.h); parallel arms run under Child() contexts so the
-  /// first overrun cancels the siblings. ctx == nullptr (and the
-  /// two-argument forms) run exactly the ungoverned code paths.
+  /// \p ctx through every VM loop and postings read (bounded-stride
+  /// checks, see util/exec_context.h); parallel arms run under Child()
+  /// contexts so the first overrun cancels the siblings. ctx == nullptr
+  /// (and the two-argument forms) run the ungoverned code paths.
   Result<QueryResult> Execute(const std::string& iql) const;
   Result<QueryResult> Execute(const std::string& iql,
                               util::ExecContext* ctx) const;
@@ -144,24 +136,13 @@ class QueryProcessor {
   /// once and execute many times.
   std::unique_ptr<PlanProgram> Plan(const Query& query) const;
 
-  /// Evaluates a pre-compiled \p program for \p query, honoring the
-  /// engine option exactly like the plain overload (the interpreter path
-  /// still walks \p query; the VM path executes \p program).
+  /// Runs a pre-compiled \p program, which must be Plan(\p query). The
+  /// other overloads plan first and then do exactly this.
   Result<QueryResult> Evaluate(const Query& query, const PlanProgram& program,
                                util::ExecContext* ctx,
                                obs::TraceSpan* span) const;
 
   const Options& options() const { return options_; }
-
-  /// Engine-dispatch counters (cumulative since construction).
-  struct EngineStats {
-    uint64_t plans = 0;        ///< programs compiled by Plan()
-    uint64_t interp_runs = 0;  ///< interpreter evaluations
-    uint64_t vm_runs = 0;      ///< VM evaluations
-    uint64_t both_runs = 0;    ///< differential double-evaluations
-    uint64_t mismatches = 0;   ///< divergences detected in kBoth mode
-  };
-  EngineStats engine_stats() const;
 
   /// True when \p query is a pure keyword/phrase filter, i.e. one that
   /// gets tf-idf relevance ranking: its row *order* depends on corpus-wide
@@ -176,8 +157,10 @@ class QueryProcessor {
 
   /// Per-view membership oracle for SupportsMatchesDoc shapes: true iff
   /// the live view \p id is in the query's (unordered) result set right
-  /// now. Dead/unknown ids are simply not members. Unsupported shapes
-  /// return InvalidArgument.
+  /// now. The step's name pattern is matched directly; the predicate is
+  /// lowered and run by the VM over the one-view universe {id}. Dead or
+  /// unknown ids are simply not members. Unsupported shapes return
+  /// InvalidArgument.
   Result<bool> MatchesDoc(const Query& query, index::DocId id) const;
 
   /// The evaluation pool (null when threads <= 1) — exposed so the facade
@@ -185,33 +168,16 @@ class QueryProcessor {
   util::ThreadPool* pool() const { return pool_.get(); }
 
  private:
-  class Evaluation;
-
-  /// The three engine paths behind Evaluate(): RunInterp walks the tree,
-  /// RunVm executes \p program (compiling on the spot when null), RunBoth
-  /// runs both and compares. All share the Finish() epilogue.
-  Result<QueryResult> RunInterp(const Query& query, util::ExecContext* ctx,
-                                obs::TraceSpan* span) const;
-  Result<QueryResult> RunVm(const Query& query, const PlanProgram* program,
-                            util::ExecContext* ctx,
-                            obs::TraceSpan* span) const;
-  Result<QueryResult> RunBoth(const Query& query, const PlanProgram* program,
-                              util::ExecContext* ctx,
-                              obs::TraceSpan* span) const;
-  Result<QueryResult> Finish(Result<QueryResult> run, Micros start,
-                             util::ExecContext* ctx,
-                             obs::TraceSpan* span) const;
+  /// Runs \p program on the VM and fills in the epilogue: elapsed time
+  /// since \p start, governance meta, and the root span's attributes.
+  Result<QueryResult> Run(const PlanProgram& program, Micros start,
+                          util::ExecContext* ctx, obs::TraceSpan* span) const;
 
   const rvm::ReplicaIndexesModule* module_;
   const core::ClassRegistry* classes_;
   Clock* clock_;
   Options options_;
   std::unique_ptr<util::ThreadPool> pool_;  ///< null when threads <= 1
-  mutable std::atomic<uint64_t> plans_{0};
-  mutable std::atomic<uint64_t> interp_runs_{0};
-  mutable std::atomic<uint64_t> vm_runs_{0};
-  mutable std::atomic<uint64_t> both_runs_{0};
-  mutable std::atomic<uint64_t> mismatches_{0};
 };
 
 }  // namespace idm::iql

@@ -57,17 +57,16 @@ std::vector<DocId> Difference(const std::vector<DocId>& a,
   return out;
 }
 
-/// Live-id cache shared between a run and its parallel children, exactly
-/// like the interpreter's (computed at most once per query).
+/// Live-id cache shared between a run and its parallel children (computed
+/// at most once per query, safely from any thread).
 struct LiveCache {
   std::once_flag once;
   Batch ids;
 };
 
-/// Mutable per-run state, the VM's analogue of one Evaluation object:
-/// rule firings, probe counts and expansion work accumulate here and
-/// parallel children get their own copies that the parent absorbs back in
-/// input order.
+/// Mutable per-run state: rule firings, probe counts and expansion work
+/// accumulate here, and parallel children get their own copies that the
+/// parent absorbs back in input order.
 struct VmState {
   const rvm::ReplicaIndexesModule& module;
   const core::ClassRegistry& classes;
@@ -151,8 +150,9 @@ struct VmState {
   }
 };
 
-/// Redirects the state's span into a named child for the enclosing scope
-/// (the interpreter's SpanScope).
+/// Redirects the state's span into a named child for the enclosing scope,
+/// so nested probes and steps attach underneath. A no-op (and no
+/// allocation) when the run is untraced.
 struct SpanScope {
   SpanScope(VmState* st, const char* name) : st_(st), saved_(st->span) {
     span_ = saved_ == nullptr ? nullptr : saved_->AddChild(name);
@@ -218,10 +218,13 @@ core::Value ResolveLiteral(const VmState& st, const PlanProgram& program,
   return program.literals[op.aux];
 }
 
-/// Parallel and/or group: the interpreter's EvalChildrenParallel plus its
-/// input-order fold (including the AND fold's short-circuit, which skips
-/// absorbing the remaining children's statistics once the accumulator
-/// empties — diagnostics must match the interpreter's, not just rows).
+/// Parallel and/or group: every child runs against the incoming universe
+/// in its own state, then the results fold in input order. Evaluating an
+/// and-child against the universe rather than the narrowed accumulator is
+/// exact because every predicate is intersective (pred(X) == X ∩ pred(U)
+/// for X ⊆ U). The AND fold keeps the serial chain's short-circuit: once
+/// the accumulator empties, the remaining children are neither folded nor
+/// absorbed, so diagnostics match a serial run too.
 Result<Batch> ExecParGroup(VmState& st, const PlanProgram& program,
                            const PlanOp& op, const Batch& universe) {
   const size_t n = op.b;
@@ -259,7 +262,8 @@ Result<Batch> ExecParGroup(VmState& st, const PlanProgram& program,
   return MakeBatch(std::move(acc));
 }
 
-/// Descendant step (the interpreter's R4/R6 branch of EvalPath).
+/// Descendant step: R6 backward expansion when the candidates are few next
+/// to the frontier (the Q8 shape), else R4 forward expansion.
 Batch ExecExpand(VmState& st, const Batch& frontier_b, const Batch& names_b) {
   const std::vector<DocId>& frontier = *frontier_b;
   const std::vector<DocId>& name_set = *names_b;
@@ -364,8 +368,9 @@ Batch ExecStepChild(VmState& st, const Batch& frontier_b,
   return MakeBatch(Intersect(children, *names_b));
 }
 
-/// union/intersect/except fold over the sub-programs (the interpreter's
-/// EvalSetOp: parallel arms in child states, serial arms on this state).
+/// union/intersect/except fold over the sub-programs: parallel arms run in
+/// child states, serial arms on this state; the fold runs in arm order
+/// either way.
 Result<Batch> ExecSetOp(VmState& st, const PlanProgram& program,
                         const PlanOp& op) {
   struct ArmOut {
@@ -451,7 +456,7 @@ Result<std::optional<std::string>> JoinKey(VmState& st, DocId id,
   return std::optional<std::string>();
 }
 
-/// Hash join (R5), the interpreter's EvalJoin including its doom handling.
+/// Hash join (R5): builds on the smaller input, probes the other.
 Status ExecJoin(VmState& st, const PlanProgram& program, QueryResult* result) {
   const JoinInfo& join = *program.join;
   QueryResult left, right;
@@ -575,8 +580,9 @@ Status ExecJoin(VmState& st, const PlanProgram& program, QueryResult* result) {
   return Status::OK();
 }
 
-/// tf-idf ranking (§5.1), the interpreter's RankIfKeywordQuery over the
-/// program's precollected phrases.
+/// tf-idf ranking (§5.1) over the program's precollected phrases: rows
+/// sort by descending score, ties by ascending id. Scores sum per phrase
+/// term in phrase order, so they are reproducible bit for bit.
 void RankRows(VmState& st, const PlanProgram& program, QueryResult* result) {
   if (!program.rankable || program.rank_phrases.empty() ||
       result->rows.empty()) {
@@ -593,8 +599,6 @@ void RankRows(VmState& st, const PlanProgram& program, QueryResult* result) {
       size_t df = st.module.content().DocumentFrequency(term);
       if (df == 0) continue;
       double idf = std::log(1.0 + n_docs / static_cast<double>(df));
-      // Same pairs as TermQueryWithTf, without re-skipping position
-      // varints (ranking never ticks, so no governed counterpart needed).
       for (const auto& [doc, tf] : st.module.content().TermTfDocs(term)) {
         auto it = score.find(doc);
         if (it != score.end()) it->second += tf * idf;
@@ -642,13 +646,8 @@ Status ExecOps(VmState& st, const PlanProgram& program,
         ++st.probes.content_phrases;
         obs::ScopedSpan probe_span(st.span, "index.content.phrase");
         const std::string& text = program.strings[op.str];
-        // Ungoverned runs take the block-compressed fast path; governed
-        // runs issue the classic per-posting-ticking scan so the step
-        // schedule (and any truncation point) matches the interpreter.
-        std::vector<DocId> hits =
-            st.ctx == nullptr ? st.module.content().PhraseDocs(text)
-                              : st.module.content().PhraseQuery(text, st.ctx);
-        std::vector<DocId> ids = Intersect(hits, *regs[op.a]);
+        std::vector<DocId> ids = Intersect(
+            st.module.content().PhraseDocs(text, st.ctx), *regs[op.a]);
         if (probe_span) {
           probe_span.get()->SetAttr("matches",
                                     static_cast<int64_t>(ids.size()));
@@ -732,9 +731,10 @@ Status ExecOps(VmState& st, const PlanProgram& program,
       case OpCode::kMaterialize: {
         result->columns = {""};
         const std::vector<DocId>& ids = *regs[op.a];
-        // §10 prefix capture, the interpreter's Unary: only the root
-        // materialization is governed; a family doomed before the loop
-        // keeps the empty prefix.
+        // §10 prefix capture: only the root materialization is governed.
+        // Its input is complete unless the family was doomed before the
+        // loop — then the input may be an arbitrary subset (truncated
+        // scans), and the only safe prefix is the empty one.
         const bool governed = (op.flags & 1) != 0 && st.ctx != nullptr;
         if (governed && st.ctx->doomed()) break;
         result->rows.reserve(ids.size());
@@ -798,6 +798,15 @@ Result<QueryResult> Vm::Run(const Env& env, const PlanProgram& program,
   LiveCache live;
   VmState state(env, &live, ctx, span);
   return RunQueryProgram(state, program);
+}
+
+Result<bool> Vm::Member(const Env& env, const PlanProgram& program,
+                        DocId id) {
+  LiveCache live;
+  VmState state(env, &live, nullptr, nullptr);
+  IDM_ASSIGN_OR_RETURN(Batch hit,
+                       RunPredProgram(state, program, MakeBatch({id})));
+  return !hit->empty();
 }
 
 }  // namespace idm::iql

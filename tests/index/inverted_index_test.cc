@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "index/analyzer.h"
+#include "util/exec_context.h"
 #include "util/rng.h"
 
 namespace idm::index {
@@ -48,43 +51,42 @@ class InvertedIndexTest : public ::testing::Test {
 };
 
 TEST_F(InvertedIndexTest, TermQuery) {
-  EXPECT_EQ(index_.TermQuery("quick"), (std::vector<DocId>{1, 3}));
-  EXPECT_EQ(index_.TermQuery("THE"), (std::vector<DocId>{1, 2}));
-  EXPECT_TRUE(index_.TermQuery("missing").empty());
+  EXPECT_EQ(index_.TermDocs("quick"), (std::vector<DocId>{1, 3}));
+  EXPECT_EQ(index_.TermDocs("THE"), (std::vector<DocId>{1, 2}));
+  EXPECT_TRUE(index_.TermDocs("missing").empty());
 }
 
 TEST_F(InvertedIndexTest, AndOrQueries) {
-  EXPECT_EQ(index_.AndQuery({"the", "quick"}), (std::vector<DocId>{1}));
-  EXPECT_EQ(index_.OrQuery({"fox", "dog"}), (std::vector<DocId>{1, 2}));
-  EXPECT_TRUE(index_.AndQuery({"fox", "dog"}).empty());
-  EXPECT_TRUE(index_.AndQuery({}).empty());
+  EXPECT_EQ(index_.AndDocs({"the", "quick"}), (std::vector<DocId>{1}));
+  EXPECT_TRUE(index_.AndDocs({"fox", "dog"}).empty());
+  EXPECT_TRUE(index_.AndDocs({}).empty());
 }
 
 TEST_F(InvertedIndexTest, PhraseQueryRequiresAdjacency) {
-  EXPECT_EQ(index_.PhraseQuery("quick brown"), (std::vector<DocId>{1}));
-  EXPECT_EQ(index_.PhraseQuery("Mike Franklin"), (std::vector<DocId>{5}));
-  EXPECT_TRUE(index_.PhraseQuery("brown quick").empty());
-  EXPECT_TRUE(index_.PhraseQuery("the dog").empty());  // not adjacent
-  EXPECT_EQ(index_.PhraseQuery("the lazy dog sleeps"), (std::vector<DocId>{2}));
+  EXPECT_EQ(index_.PhraseDocs("quick brown"), (std::vector<DocId>{1}));
+  EXPECT_EQ(index_.PhraseDocs("Mike Franklin"), (std::vector<DocId>{5}));
+  EXPECT_TRUE(index_.PhraseDocs("brown quick").empty());
+  EXPECT_TRUE(index_.PhraseDocs("the dog").empty());  // not adjacent
+  EXPECT_EQ(index_.PhraseDocs("the lazy dog sleeps"), (std::vector<DocId>{2}));
 }
 
 TEST_F(InvertedIndexTest, PhraseNormalizesCaseAndPunctuation) {
-  EXPECT_EQ(index_.PhraseQuery("MIKE, franklin!"), (std::vector<DocId>{5}));
+  EXPECT_EQ(index_.PhraseDocs("MIKE, franklin!"), (std::vector<DocId>{5}));
 }
 
 TEST_F(InvertedIndexTest, SingleTermPhraseDegrades) {
-  EXPECT_EQ(index_.PhraseQuery("quick"), (std::vector<DocId>{1, 3}));
-  EXPECT_TRUE(index_.PhraseQuery("").empty());
+  EXPECT_EQ(index_.PhraseDocs("quick"), (std::vector<DocId>{1, 3}));
+  EXPECT_TRUE(index_.PhraseDocs("").empty());
 }
 
 TEST_F(InvertedIndexTest, RepeatedTermPhrase) {
-  EXPECT_EQ(index_.PhraseQuery("quick quick"), (std::vector<DocId>{3}));
+  EXPECT_EQ(index_.PhraseDocs("quick quick"), (std::vector<DocId>{3}));
 }
 
 TEST_F(InvertedIndexTest, RemoveDocument) {
   index_.RemoveDocument(1);
-  EXPECT_EQ(index_.TermQuery("quick"), (std::vector<DocId>{3}));
-  EXPECT_TRUE(index_.TermQuery("fox").empty());
+  EXPECT_EQ(index_.TermDocs("quick"), (std::vector<DocId>{3}));
+  EXPECT_TRUE(index_.TermDocs("fox").empty());
   EXPECT_EQ(index_.doc_count(), 3u);
   index_.RemoveDocument(99);  // no-op
   EXPECT_EQ(index_.doc_count(), 3u);
@@ -92,8 +94,8 @@ TEST_F(InvertedIndexTest, RemoveDocument) {
 
 TEST_F(InvertedIndexTest, ReAddReplaces) {
   index_.AddDocument(1, "entirely new words");
-  EXPECT_TRUE(index_.TermQuery("fox").empty());
-  EXPECT_EQ(index_.TermQuery("entirely"), (std::vector<DocId>{1}));
+  EXPECT_TRUE(index_.TermDocs("fox").empty());
+  EXPECT_EQ(index_.TermDocs("entirely"), (std::vector<DocId>{1}));
 }
 
 TEST_F(InvertedIndexTest, OutOfOrderDocIdsStaySorted) {
@@ -101,7 +103,7 @@ TEST_F(InvertedIndexTest, OutOfOrderDocIdsStaySorted) {
   index.AddDocument(9, "alpha");
   index.AddDocument(3, "alpha");
   index.AddDocument(6, "alpha");
-  EXPECT_EQ(index.TermQuery("alpha"), (std::vector<DocId>{3, 6, 9}));
+  EXPECT_EQ(index.TermDocs("alpha"), (std::vector<DocId>{3, 6, 9}));
 }
 
 TEST_F(InvertedIndexTest, MemoryUsageGrowsWithContent) {
@@ -111,32 +113,81 @@ TEST_F(InvertedIndexTest, MemoryUsageGrowsWithContent) {
   EXPECT_GT(index_.MemoryUsage(), before);
 }
 
+/// Ids whose text holds the space-separated \p words contiguously —
+/// a scan of the texts that shares no code with the index.
+std::vector<DocId> ScanPhrase(const std::map<DocId, std::string>& texts,
+                              const std::string& words) {
+  std::vector<DocId> out;
+  for (const auto& [id, text] : texts) {
+    if ((" " + text + " ").find(" " + words + " ") != std::string::npos) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
 TEST(InvertedIndexBlocksTest, BlocksSurviveWrites) {
   // Four blocks per list, with id gaps for inserts below the last doc.
   InvertedIndex index;
+  std::map<DocId, std::string> texts;
+  auto add = [&](DocId id, const std::string& text) {
+    index.AddDocument(id, text);
+    texts[id] = text;
+  };
+  auto remove = [&](DocId id) {
+    index.RemoveDocument(id);
+    texts.erase(id);
+  };
   for (DocId id = 0; id < 800; id += 2) {
-    index.AddDocument(id, id % 3 == 0 ? "alpha beta alpha" : "beta alpha");
+    add(id, id % 3 == 0 ? "alpha beta alpha" : "beta alpha");
   }
   // Builds both lists' block indexes.
   ASSERT_FALSE(index.PhraseDocs("alpha beta").empty());
   const uint64_t built = index.block_stats().built_lists;
 
-  index.AddDocument(1001, "alpha beta");        // in-order append
-  index.AddDocument(301, "beta alpha beta");    // insert below last_doc
-  index.AddDocument(256, "alpha alpha beta");   // re-add
-  index.RemoveDocument(254);                    // remove
-  index.RemoveDocument(0);                      // remove a list's first
-  index.RemoveDocument(1001);                   // ... and its last
+  add(1001, "alpha beta");        // in-order append
+  add(301, "beta alpha beta");    // insert below last_doc
+  add(256, "alpha alpha beta");   // re-add
+  remove(254);                    // remove
+  remove(0);                      // remove a list's first
+  remove(1001);                   // ... and its last
 
   EXPECT_EQ(index.block_stats().built_lists, built);
+  // The blocks kept current by the writes answer like blocks built from
+  // scratch over the final texts, and like a scan of those texts.
+  InvertedIndex fresh;
+  for (const auto& [id, text] : texts) fresh.AddDocument(id, text);
   for (const char* term : {"alpha", "beta"}) {
-    EXPECT_EQ(index.TermDocs(term), index.TermQuery(term)) << term;
-    EXPECT_EQ(index.TermTfDocs(term), index.TermQueryWithTf(term)) << term;
+    EXPECT_EQ(index.TermDocs(term), ScanPhrase(texts, term)) << term;
+    EXPECT_EQ(index.TermTfDocs(term), fresh.TermTfDocs(term)) << term;
   }
   for (const char* phrase : {"alpha beta", "beta alpha", "alpha alpha"}) {
-    EXPECT_EQ(index.PhraseDocs(phrase), index.PhraseQuery(phrase)) << phrase;
+    EXPECT_EQ(index.PhraseDocs(phrase), ScanPhrase(texts, phrase)) << phrase;
   }
   EXPECT_EQ(index.block_stats().built_lists, built);
+}
+
+TEST(InvertedIndexBlocksTest, GovernedReadsChargePerBlock) {
+  InvertedIndex index;
+  for (DocId id = 0; id < 1000; ++id) index.AddDocument(id, "needle");
+  const std::vector<DocId> all = index.TermDocs("needle");
+  ASSERT_EQ(all.size(), 1000u);
+
+  // Blocks of 128 postings, each charged before its ids are used: the
+  // third block's charge (256 + 128 > 300) dooms the read, so it returns
+  // the first two blocks — a prefix of the answer.
+  util::ExecContext::Limits limits;
+  limits.max_steps = 300;
+  util::ExecContext governed(nullptr, limits);
+  EXPECT_EQ(index.TermDocs("needle", &governed),
+            std::vector<DocId>(all.begin(), all.begin() + 256));
+  EXPECT_TRUE(governed.doomed());
+  EXPECT_EQ(governed.steps_used(), 384u);
+
+  util::ExecContext unlimited(nullptr, util::ExecContext::Limits());
+  EXPECT_EQ(index.TermDocs("needle", &unlimited), all);
+  EXPECT_FALSE(unlimited.doomed());
+  EXPECT_EQ(unlimited.steps_used(), 1000u);
 }
 
 TEST(InvertedIndexPropertyTest, MatchesNaiveScanOnRandomCorpus) {
@@ -165,7 +216,7 @@ TEST(InvertedIndexPropertyTest, MatchesNaiveScanOnRandomCorpus) {
         expected.push_back(id);
       }
     }
-    EXPECT_EQ(index.PhraseQuery(phrase), expected) << phrase;
+    EXPECT_EQ(index.PhraseDocs(phrase), expected) << phrase;
   }
 }
 

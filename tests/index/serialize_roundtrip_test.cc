@@ -86,8 +86,8 @@ TEST(InvertedIndexRoundTrip, PreservesPostingsAndPositions) {
   index.AddDocument(3, "personal information management");
   auto restored = InvertedIndex::Deserialize(index.Serialize());
   ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->TermQuery("dataspace"), (std::vector<DocId>{1}));
-  EXPECT_EQ(restored->PhraseQuery("personal information management"),
+  EXPECT_EQ(restored->TermDocs("dataspace"), (std::vector<DocId>{1}));
+  EXPECT_EQ(restored->PhraseDocs("personal information management"),
             (std::vector<DocId>{3}));
   EXPECT_EQ(restored->doc_count(), index.doc_count());
   EXPECT_EQ(index.Serialize(), restored->Serialize());

@@ -48,7 +48,7 @@ TEST_F(UpdateTest, DeleteByNamePatternWritesThrough) {
   EXPECT_TRUE(fs_->Exists("/work/keep.txt"));
   // And from every index.
   EXPECT_EQ(ds_->Query("//*.tmp")->size(), 0u);
-  EXPECT_TRUE(ds_->module().content().PhraseQuery("obsolete scratch").empty());
+  EXPECT_TRUE(ds_->module().content().PhraseDocs("obsolete scratch").empty());
 }
 
 TEST_F(UpdateTest, DeleteDropsDerivedViewsWithTheirBase) {

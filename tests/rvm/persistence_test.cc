@@ -42,7 +42,7 @@ TEST_F(PersistenceTest, ExportImportRoundTrip) {
   EXPECT_EQ(restored.catalog().live_count(), module.catalog().live_count());
   EXPECT_EQ(restored.versions().current(), version);
   // Indexes are not part of the image...
-  EXPECT_TRUE(restored.content().PhraseQuery("database tuning").empty());
+  EXPECT_TRUE(restored.content().PhraseDocs("database tuning").empty());
 
   // ...but a re-sync rebuilds them against the *same* ids.
   FileSystemSource again("Filesystem", fs_);
@@ -50,7 +50,7 @@ TEST_F(PersistenceTest, ExportImportRoundTrip) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->added, 0u);  // nothing new: catalog already knew it all
   EXPECT_EQ(restored.catalog().Find("vfs:/d/a.txt"), a_id);
-  EXPECT_FALSE(restored.content().PhraseQuery("database tuning").empty());
+  EXPECT_FALSE(restored.content().PhraseDocs("database tuning").empty());
 }
 
 TEST_F(PersistenceTest, ImportRejectsGarbage) {

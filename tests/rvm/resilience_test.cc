@@ -147,8 +147,8 @@ TEST_F(ResilienceTest, ResilientSyncConvergesUnderTwentyPercentFaults) {
   // Same content-index state: the rewritten file is findable, the removed
   // one is gone.
   EXPECT_FALSE(
-      resilient_module.content().PhraseQuery("rewritten content").empty());
-  EXPECT_TRUE(resilient_module.content().PhraseQuery("archived words").empty());
+      resilient_module.content().PhraseDocs("rewritten content").empty());
+  EXPECT_TRUE(resilient_module.content().PhraseDocs("archived words").empty());
 
   // Faults really were injected and survived via retries...
   EXPECT_GT(resilient_injector.faults_injected(), 0u);

@@ -64,7 +64,7 @@ TEST_F(RvmTest, ContentIndexFindsPhrasesInDerivedViews) {
   ASSERT_TRUE(module_.IndexSource(source, ConverterRegistry::Standard()).ok());
   // The phrase lives in the Introduction *section* view (derived), and in
   // the raw .tex file content.
-  auto ids = module_.content().PhraseQuery("Mike Franklin");
+  auto ids = module_.content().PhraseDocs("Mike Franklin");
   ASSERT_GE(ids.size(), 2u);
   bool found_section = false;
   for (auto id : ids) {
@@ -83,7 +83,7 @@ TEST_F(RvmTest, BinaryContentExcludedFromNetInput) {
   // The jpg is registered in the catalog but absent from the content index.
   auto id = module_.catalog().Find("vfs:/Projects/binary.jpg");
   ASSERT_TRUE(id.has_value());
-  EXPECT_TRUE(module_.content().PhraseQuery("garbage").empty());
+  EXPECT_TRUE(module_.content().PhraseDocs("garbage").empty());
 }
 
 TEST_F(RvmTest, GroupReplicaMirrorsHierarchy) {
@@ -115,7 +115,7 @@ TEST_F(RvmTest, EmailAttachmentsConverted) {
   ASSERT_TRUE(stats.ok());
   EXPECT_GT(stats->views_derived_latex, 0u);
   // Q2's figure is findable.
-  auto ids = module_.content().PhraseQuery("Indexing Time");
+  auto ids = module_.content().PhraseDocs("Indexing Time");
   EXPECT_FALSE(ids.empty());
 }
 
@@ -152,7 +152,7 @@ TEST_F(RvmTest, RemoveSubtreeDropsDerivedViews) {
   EXPECT_GT(removed.removed, 1u);  // the file + its latex subgraph
   EXPECT_EQ(module_.catalog().live_count(), before - removed.removed);
   EXPECT_FALSE(module_.catalog().Find("vfs:/Projects/PIM/paper.tex").has_value());
-  EXPECT_TRUE(module_.content().PhraseQuery("Mike Franklin").empty());
+  EXPECT_TRUE(module_.content().PhraseDocs("Mike Franklin").empty());
 }
 
 class SyncTest : public RvmTest {};
@@ -180,7 +180,7 @@ TEST_F(SyncTest, NotificationsDriveIncrementalIndexing) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->added, 1u);
   EXPECT_TRUE(module_.catalog().Find("vfs:/Projects/new.txt").has_value());
-  auto hits = module_.content().PhraseQuery("fresh dataspace entry");
+  auto hits = module_.content().PhraseDocs("fresh dataspace entry");
   EXPECT_EQ(hits.size(), 1u);
 }
 
@@ -193,7 +193,7 @@ TEST_F(SyncTest, RemovalNotificationsCleanIndexes) {
   auto stats = sync.ProcessNotifications();
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->removed, 1u);
-  EXPECT_TRUE(module_.content().PhraseQuery("database tuning").empty());
+  EXPECT_TRUE(module_.content().PhraseDocs("database tuning").empty());
 }
 
 TEST_F(SyncTest, PollRepairsBypassedChanges) {
@@ -225,8 +225,8 @@ TEST_F(SyncTest, PollDetectsModifications) {
   auto stats = sync.Poll();
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats->updated, 1u);
-  EXPECT_TRUE(module_.content().PhraseQuery("database tuning").empty());
-  EXPECT_FALSE(module_.content().PhraseQuery("completely different words").empty());
+  EXPECT_TRUE(module_.content().PhraseDocs("database tuning").empty());
+  EXPECT_FALSE(module_.content().PhraseDocs("completely different words").empty());
 }
 
 }  // namespace
