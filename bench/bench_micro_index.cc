@@ -52,7 +52,7 @@ void BM_InvertedIndexPhraseBlocked(benchmark::State& state) {
   auto docs = MakeDocs(static_cast<size_t>(state.range(0)), 120);
   index::InvertedIndex idx;
   for (DocId id = 0; id < docs.size(); ++id) idx.AddDocument(id, docs[id]);
-  benchmark::DoNotOptimize(idx.PhraseDocs("the data"));  // build blocks
+  benchmark::DoNotOptimize(idx.PhraseDocs("the data"));  // warm up
   for (auto _ : state) {
     benchmark::DoNotOptimize(idx.PhraseDocs("the data"));
   }
@@ -63,7 +63,7 @@ void BM_InvertedIndexTermBlocked(benchmark::State& state) {
   auto docs = MakeDocs(static_cast<size_t>(state.range(0)), 120);
   index::InvertedIndex idx;
   for (DocId id = 0; id < docs.size(); ++id) idx.AddDocument(id, docs[id]);
-  benchmark::DoNotOptimize(idx.TermDocs("database"));  // build blocks
+  benchmark::DoNotOptimize(idx.TermDocs("database"));  // warm up
   for (auto _ : state) {
     benchmark::DoNotOptimize(idx.TermDocs("database"));
   }
@@ -164,7 +164,7 @@ int EmitBlockedTimings() {
   std::vector<bench::ParallelBenchRow> rows;
   bool all_same = true;
   for (const Scenario& scenario : kScenarios) {
-    std::vector<DocId> expect = scenario.read();  // also builds the blocks
+    std::vector<DocId> expect = scenario.read();  // also warms the caches
     bool same = true;
     std::vector<double> times;
     for (int run = 0; run < kRuns; ++run) {

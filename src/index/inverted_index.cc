@@ -1,6 +1,7 @@
 #include "index/inverted_index.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "index/analyzer.h"
 #include "util/codec.h"
@@ -8,6 +9,10 @@
 namespace idm::index {
 
 namespace {
+
+/// Postings per block: small enough that decoding one block for phrase
+/// verification is cheap, large enough that skip pointers pay off.
+constexpr uint32_t kBlockDocs = 128;
 
 void PutVarint(std::string* out, uint64_t value) {
   while (value >= 0x80) {
@@ -17,23 +22,32 @@ void PutVarint(std::string* out, uint64_t value) {
   out->push_back(static_cast<char>(value));
 }
 
-uint64_t GetVarint(const std::string& in, size_t* pos) {
+/// Bounds-checked: a truncated or overlong varint ends at the end of \p in.
+uint64_t GetVarint(std::string_view in, size_t* pos) {
   uint64_t value = 0;
-  int shift = 0;
-  while (*pos < in.size()) {
-    uint8_t byte = static_cast<uint8_t>(in[(*pos)++]);
-    value |= static_cast<uint64_t>(byte & 0x7F) << shift;
+  for (int shift = 0; *pos < in.size(); shift += 7) {
+    const uint8_t byte = static_cast<uint8_t>(in[(*pos)++]);
+    if (shift < 64) value |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) break;
-    shift += 7;
   }
   return value;
 }
 
-/// One posting record: doc-id delta, position count, position deltas.
-void PutRecord(std::string* out, DocId doc_delta,
-               const std::vector<uint32_t>& positions) {
-  PutVarint(out, doc_delta);
-  PutVarint(out, positions.size());
+size_t VarintLength(uint64_t value) {
+  size_t length = 1;
+  for (; value >= 0x80; value >>= 7) ++length;
+  return length;
+}
+
+/// Moves *pos past \p n varints, stopping at the end of \p in.
+void SkipVarints(std::string_view in, size_t* pos, uint64_t n) {
+  while (n > 0 && *pos < in.size()) {
+    if ((static_cast<uint8_t>(in[(*pos)++]) & 0x80) == 0) --n;
+  }
+}
+
+/// One doc's positions as deltas, the first from 0.
+void PutPositions(std::string* out, const std::vector<uint32_t>& positions) {
   uint32_t prev = 0;
   for (uint32_t pos : positions) {
     PutVarint(out, pos - prev);
@@ -41,27 +55,170 @@ void PutRecord(std::string* out, DocId doc_delta,
   }
 }
 
-/// Moves \p pos past one whole record; returns its position count.
-uint64_t SkipRecord(const std::string& blob, size_t* pos) {
-  GetVarint(blob, pos);
-  uint64_t count = GetVarint(blob, pos);
-  for (uint64_t j = 0; j < count; ++j) GetVarint(blob, pos);
-  return count;
+/// \p s with bytes [at, end) replaced by \p patch, in a string sized to fit.
+std::string Spliced(std::string_view s, size_t at, size_t end,
+                    std::string_view patch) {
+  std::string out;
+  out.reserve(s.size() - (end - at) + patch.size());
+  out.append(s.substr(0, at)).append(patch).append(s.substr(end));
+  return out;
 }
 
-/// Postings per block: small enough that decoding one block for phrase
-/// verification is cheap, large enough that skip pointers pay off.
-constexpr uint32_t kBlockDocs = 128;
+/// Heap bytes behind \p s (none while it fits the inline buffer).
+size_t HeapBytes(const std::string& s) {
+  static const size_t kInline = std::string().capacity();
+  return s.capacity() > kInline ? s.capacity() + 1 : 0;
+}
+
+size_t PayloadBytes(const PostingBlock& block) {
+  return block.ids.size() + block.positions.size();
+}
+
+std::string_view TfStream(const PostingBlock& block) {
+  return std::string_view(block.ids).substr(block.tf_at);
+}
+
+void AppendBlockDocs(const PostingBlock& block, std::vector<DocId>* out) {
+  if (block.dense) {
+    for (size_t byte = 0; byte < block.tf_at; ++byte) {
+      uint8_t bits = static_cast<uint8_t>(block.ids[byte]);
+      while (bits != 0) {
+        int bit = __builtin_ctz(bits);
+        out->push_back(block.first + (byte << 3) + bit);
+        bits &= bits - 1;
+      }
+    }
+    return;
+  }
+  DocId doc = block.first;
+  out->push_back(doc);
+  size_t pos = 0;
+  for (uint32_t i = 1; i < block.count; ++i) {
+    doc += GetVarint(block.ids, &pos);
+    out->push_back(doc);
+  }
+}
+
+/// Sets \p block's skip bounds and `ids` from its ascending doc ids and
+/// its \p tf stream; the doc payload is delta varints or a bitset over
+/// [first, last], whichever is smaller. \p tf may view the old `ids`.
+void EncodeBlock(const std::vector<DocId>& docs, std::string_view tf,
+                 PostingBlock* block) {
+  block->first = docs.front();
+  block->last = docs.back();
+  block->count = static_cast<uint32_t>(docs.size());
+  size_t varint_bytes = 0;
+  for (size_t i = 1; i < docs.size(); ++i) {
+    varint_bytes += VarintLength(docs[i] - docs[i - 1]);
+  }
+  const uint64_t bitset_bytes = (block->last - block->first) / 8 + 1;
+  block->dense = bitset_bytes < varint_bytes;
+  std::string ids;
+  if (block->dense) {
+    ids.reserve(bitset_bytes + tf.size());
+    ids.assign(bitset_bytes, '\0');
+    for (DocId doc : docs) {
+      const uint64_t bit = doc - block->first;
+      ids[bit >> 3] |= static_cast<char>(1u << (bit & 7));
+    }
+  } else {
+    ids.reserve(varint_bytes + tf.size());
+    for (size_t i = 1; i < docs.size(); ++i) {
+      PutVarint(&ids, docs[i] - docs[i - 1]);
+    }
+  }
+  block->tf_at = static_cast<uint32_t>(ids.size());
+  ids.append(tf);
+  block->ids = std::move(ids);
+}
+
+/// True when \p block's doc payload decodes to exactly `count` ascending
+/// ids running from `first` to `last`.
+bool ValidDocs(const PostingBlock& block) {
+  if (block.count == 0 || block.first > block.last ||
+      block.tf_at > block.ids.size()) {
+    return false;
+  }
+  const std::string_view docs = std::string_view(block.ids).substr(
+      0, block.tf_at);
+  const uint64_t span = block.last - block.first;
+  if (block.dense) {
+    if (docs.size() != span / 8 + 1) return false;
+    uint64_t bits = 0;
+    for (char byte : docs) {
+      bits += __builtin_popcount(static_cast<uint8_t>(byte));
+    }
+    const uint8_t top = static_cast<uint8_t>(docs.back());
+    return bits == block.count && (docs.front() & 1) != 0 &&
+           (top >> (span & 7)) == 1;
+  }
+  size_t pos = 0;
+  uint64_t offset = 0;
+  for (uint32_t i = 1; i < block.count; ++i) {
+    if (pos == docs.size()) return false;
+    const uint64_t delta = GetVarint(docs, &pos);
+    if (delta == 0 || delta > span - offset) return false;
+    offset += delta;
+  }
+  return pos == docs.size() && offset == span;
+}
+
+/// The doc ids of \p blocks, stopping before the first block \p ctx
+/// refuses (see the query section of the header).
+std::vector<DocId> ListDocs(const std::vector<PostingBlock>& blocks,
+                            size_t doc_count, util::ExecContext* ctx) {
+  std::vector<DocId> out;
+  out.reserve(doc_count);
+  for (const PostingBlock& block : blocks) {
+    if (ctx != nullptr && !ctx->TickAlive(block.count)) break;
+    AppendBlockDocs(block, &out);
+  }
+  return out;
+}
+
+/// Forward-only reader of one term's records for phrase verification:
+/// docs must be asked for in ascending order, so each block is entered
+/// once and each record is walked at most once.
+struct RecordCursor {
+  const std::vector<PostingBlock>* blocks = nullptr;
+  size_t block = 0;
+  std::vector<DocId> docs;  ///< ids of blocks[block]; empty until entered
+  size_t next = 0;          ///< records of the block walked so far
+  size_t tf_at = 0;         ///< offsets of record `next` in ids, positions
+  size_t pos_at = 0;
+
+  /// Positions of \p doc into \p out, adding the records walked to
+  /// \p walked; false when the doc is not in the list.
+  bool Seek(DocId doc, std::vector<uint32_t>* out, uint64_t* walked) {
+    while (block < blocks->size() && (*blocks)[block].last < doc) {
+      ++block;
+      docs.clear();
+    }
+    if (block == blocks->size() || doc < (*blocks)[block].first) return false;
+    const PostingBlock& here = (*blocks)[block];
+    if (docs.empty()) {
+      AppendBlockDocs(here, &docs);
+      next = pos_at = 0;
+      tf_at = here.tf_at;
+    }
+    for (; next < docs.size() && docs[next] < doc; ++next, ++*walked) {
+      SkipVarints(here.positions, &pos_at, GetVarint(here.ids, &tf_at));
+    }
+    if (next == docs.size() || docs[next] != doc) return false;
+    const uint64_t tf = GetVarint(here.ids, &tf_at);
+    ++next;
+    ++*walked;
+    out->clear();
+    uint32_t position = 0;
+    for (uint64_t j = 0; j < tf && pos_at < here.positions.size(); ++j) {
+      position += static_cast<uint32_t>(GetVarint(here.positions, &pos_at));
+      out->push_back(position);
+    }
+    return true;
+  }
+};
 
 }  // namespace
-
-void InvertedIndex::AppendRecord(TermList* list, DocId doc,
-                                 const std::vector<uint32_t>& positions) {
-  PutRecord(&list->blob, doc - (list->doc_count == 0 ? 0 : list->last_doc),
-            positions);
-  list->last_doc = doc;
-  ++list->doc_count;
-}
 
 uint32_t InvertedIndex::InternTerm(const std::string& term) {
   auto it = term_ids_.find(term);
@@ -76,40 +233,6 @@ const InvertedIndex::TermList* InvertedIndex::FindList(
     const std::string& raw_term) const {
   auto it = term_ids_.find(raw_term);
   return it == term_ids_.end() ? nullptr : &lists_[it->second];
-}
-
-InvertedIndex::InvertedIndex(const InvertedIndex& other)
-    : term_ids_(other.term_ids_),
-      lists_(other.lists_),
-      doc_terms_(other.doc_terms_),
-      total_tokens_(other.total_tokens_) {}
-
-InvertedIndex& InvertedIndex::operator=(const InvertedIndex& other) {
-  if (this == &other) return *this;
-  term_ids_ = other.term_ids_;
-  lists_ = other.lists_;
-  doc_terms_ = other.doc_terms_;
-  total_tokens_ = other.total_tokens_;
-  std::lock_guard<std::mutex> lock(blocks_mu_);
-  blocks_.clear();
-  return *this;
-}
-
-InvertedIndex::InvertedIndex(InvertedIndex&& other) noexcept
-    : term_ids_(std::move(other.term_ids_)),
-      lists_(std::move(other.lists_)),
-      doc_terms_(std::move(other.doc_terms_)),
-      total_tokens_(other.total_tokens_) {}
-
-InvertedIndex& InvertedIndex::operator=(InvertedIndex&& other) noexcept {
-  if (this == &other) return *this;
-  term_ids_ = std::move(other.term_ids_);
-  lists_ = std::move(other.lists_);
-  doc_terms_ = std::move(other.doc_terms_);
-  total_tokens_ = other.total_tokens_;
-  std::lock_guard<std::mutex> lock(blocks_mu_);
-  blocks_.clear();
-  return *this;
 }
 
 void InvertedIndex::AddDocument(DocId id, const std::string& text) {
@@ -128,16 +251,10 @@ void InvertedIndex::AddDocument(DocId id, const std::string& text) {
   for (auto& [term, positions] : term_positions) {
     uint32_t tid = InternTerm(term);
     TermList& list = lists_[tid];
-    if (list.doc_count == 0 || list.last_doc < id) {
-      // Fast path: in-order append; a resident block index grows its tail.
-      const size_t offset = list.blob.size();
-      AppendRecord(&list, id, positions);
-      if (BlockIndex* blocks = BlockedFor(tid, /*build=*/false)) {
-        AppendToBlocks(blocks, id, static_cast<uint32_t>(positions.size()),
-                       offset);
-      }
+    if (list.blocks.empty() || list.blocks.back().last < id) {
+      Append(&list, id, positions);
     } else {
-      Splice(tid, id, &positions);
+      Splice(&list, id, &positions);
     }
     term_ids.push_back(tid);
   }
@@ -149,7 +266,9 @@ void InvertedIndex::AddDocument(DocId id, const std::string& text) {
 void InvertedIndex::RemoveDocument(DocId id) {
   auto it = doc_terms_.find(id);
   if (it == doc_terms_.end()) return;
-  for (uint32_t tid : it->second) total_tokens_ -= Splice(tid, id, nullptr);
+  for (uint32_t tid : it->second) {
+    total_tokens_ -= Splice(&lists_[tid], id, nullptr);
+  }
   doc_terms_.erase(it);
 }
 
@@ -160,9 +279,122 @@ size_t InvertedIndex::DocumentFrequency(const std::string& term) const {
   return list == nullptr ? 0 : list->doc_count;
 }
 
+// --- writes: tail appends and one-block splices ---------------------------
+
+void InvertedIndex::Append(TermList* list, DocId doc,
+                           const std::vector<uint32_t>& positions) {
+  std::vector<PostingBlock>& blocks = list->blocks;
+  if (blocks.empty()) {
+    ++held_lists_;
+    blocks.emplace_back();
+  } else if (blocks.back().count >= kBlockDocs || blocks.back().dense) {
+    // Seal the old tail: its smaller doc form, both strings sized to fit.
+    PostingBlock& sealed = blocks.back();
+    std::vector<DocId> docs;
+    AppendBlockDocs(sealed, &docs);
+    payload_bytes_ -= sealed.ids.size();
+    EncodeBlock(docs, TfStream(sealed), &sealed);
+    payload_bytes_ += sealed.ids.size();
+    sealed.positions.shrink_to_fit();
+    blocks.emplace_back();
+  }
+  PostingBlock& tail = blocks.back();
+  const size_t before = PayloadBytes(tail);
+  if (tail.count == 0) {
+    tail.first = doc;
+  } else {
+    std::string delta;
+    PutVarint(&delta, doc - tail.last);
+    tail.ids.insert(tail.tf_at, delta);
+    tail.tf_at += static_cast<uint32_t>(delta.size());
+  }
+  tail.last = doc;
+  ++tail.count;
+  PutVarint(&tail.ids, positions.size());
+  PutPositions(&tail.positions, positions);
+  payload_bytes_ += PayloadBytes(tail) - before;
+  ++list->doc_count;
+}
+
+uint64_t InvertedIndex::Splice(TermList* list, DocId doc,
+                               const std::vector<uint32_t>* positions) {
+  std::vector<PostingBlock>& blocks = list->blocks;
+  // The block holding doc — for an insert, the first block ending past it
+  // (one exists: inserts land below the list's last doc).
+  const auto it = std::partition_point(
+      blocks.begin(), blocks.end(),
+      [doc](const PostingBlock& block) { return block.last < doc; });
+  if (it == blocks.end()) return 0;
+  PostingBlock& block = *it;
+  std::vector<DocId> docs;
+  AppendBlockDocs(block, &docs);
+  const size_t slot =
+      std::lower_bound(docs.begin(), docs.end(), doc) - docs.begin();
+  const bool insert = positions != nullptr;
+  if (!insert && (slot == docs.size() || docs[slot] != doc)) return 0;
+
+  // The record's byte ranges in the tf and position streams, and what
+  // replaces them: an insert's new record, or nothing.
+  const std::string_view old_tf = TfStream(block);
+  size_t tf_at = 0, pos_at = 0;
+  for (size_t i = 0; i < slot; ++i) {
+    SkipVarints(block.positions, &pos_at, GetVarint(old_tf, &tf_at));
+  }
+  size_t tf_end = tf_at, pos_end = pos_at;
+  uint64_t removed = 0;
+  std::string tf_patch, pos_patch;
+  if (insert) {
+    docs.insert(docs.begin() + slot, doc);
+    PutVarint(&tf_patch, positions->size());
+    PutPositions(&pos_patch, *positions);
+    ++list->doc_count;
+  } else {
+    removed = GetVarint(old_tf, &tf_end);
+    SkipVarints(block.positions, &pos_end, removed);
+    docs.erase(docs.begin() + slot);
+    --list->doc_count;
+  }
+  payload_bytes_ -= PayloadBytes(block);
+  if (docs.empty()) {
+    blocks.erase(it);
+    held_lists_ -= blocks.empty();
+    return removed;
+  }
+  const std::string tf = Spliced(old_tf, tf_at, tf_end, tf_patch);
+  block.positions = Spliced(block.positions, pos_at, pos_end, pos_patch);
+  if (docs.size() <= 2 * kBlockDocs) {
+    EncodeBlock(docs, tf, &block);
+    payload_bytes_ += PayloadBytes(block);
+    return removed;
+  }
+  // Grown past two blocks' worth: the upper half moves to a new block.
+  const size_t half = docs.size() / 2;
+  size_t tf_half = 0, pos_half = 0;
+  for (size_t i = 0; i < half; ++i) {
+    SkipVarints(block.positions, &pos_half, GetVarint(tf, &tf_half));
+  }
+  PostingBlock upper;
+  upper.positions = block.positions.substr(pos_half);
+  block.positions = Spliced(block.positions, pos_half, block.positions.size(),
+                            "");
+  EncodeBlock(std::vector<DocId>(docs.begin() + half, docs.end()),
+              std::string_view(tf).substr(tf_half), &upper);
+  docs.resize(half);
+  EncodeBlock(docs, std::string_view(tf).substr(0, tf_half), &block);
+  payload_bytes_ += PayloadBytes(block) + PayloadBytes(upper);
+  blocks.insert(it + 1, std::move(upper));
+  return removed;
+}
+
+// --- checkpoint image ------------------------------------------------------
+
 namespace {
 constexpr uint64_t kContentMagic = 0x69444D31434E5431ULL;  // "iDM1CNT1"
-constexpr uint32_t kContentFormatVersion = 1;
+constexpr uint32_t kContentFormatVersion = 2;
+/// Smallest encodings of a term entry and of a block (empty strings), the
+/// bounds on counts read from an image.
+constexpr size_t kMinTermBytes = 8 + 4 + 4 + 8;
+constexpr size_t kMinBlockBytes = 8 + 8 + 4 + 4 + 4 + 2 * 8;
 }  // namespace
 
 std::string InvertedIndex::Serialize() const {
@@ -170,9 +402,9 @@ std::string InvertedIndex::Serialize() const {
   codec::PutU64(&out, kContentMagic);
   codec::PutU32(&out, kContentFormatVersion);
   codec::PutU64(&out, total_tokens_);
-  // Term dictionary + posting blobs, sorted by term text so the image is
+  // Term dictionary + blocks, sorted by term text so the image is
   // independent of hash-map iteration order. Term ids are preserved: the
-  // blobs do not reference them, but doc_terms_ does.
+  // blocks do not reference them, but doc_terms_ does.
   std::vector<const std::pair<const std::string, uint32_t>*> terms;
   terms.reserve(term_ids_.size());
   for (const auto& entry : term_ids_) terms.push_back(&entry);
@@ -184,8 +416,16 @@ std::string InvertedIndex::Serialize() const {
     codec::PutString(&out, entry->first);
     codec::PutU32(&out, entry->second);
     codec::PutU32(&out, list.doc_count);
-    codec::PutU64(&out, list.last_doc);
-    codec::PutString(&out, list.blob);
+    codec::PutU64(&out, list.blocks.size());
+    for (const PostingBlock& block : list.blocks) {
+      codec::PutU64(&out, block.first);
+      codec::PutU64(&out, block.last);
+      codec::PutU32(&out, block.count);
+      codec::PutU32(&out, block.dense);
+      codec::PutU32(&out, block.tf_at);
+      codec::PutString(&out, block.ids);
+      codec::PutString(&out, block.positions);
+    }
   }
   std::vector<DocId> docs;
   docs.reserve(doc_terms_.size());
@@ -218,7 +458,7 @@ Result<InvertedIndex> InvertedIndex::Deserialize(const std::string& data) {
       !codec::GetU64(data, &pos, &n_terms)) {
     return Status::ParseError("truncated content index");
   }
-  if (n_terms > (data.size() - pos) / 24) {
+  if (n_terms > (data.size() - pos) / kMinTermBytes) {
     return Status::ParseError("truncated term table");
   }
   index.lists_.resize(n_terms);
@@ -227,16 +467,46 @@ Result<InvertedIndex> InvertedIndex::Deserialize(const std::string& data) {
     std::string term;
     uint32_t term_id = 0;
     TermList list;
+    uint64_t n_blocks = 0;
     if (!codec::GetString(data, &pos, &term) ||
         !codec::GetU32(data, &pos, &term_id) ||
         !codec::GetU32(data, &pos, &list.doc_count) ||
-        !codec::GetU64(data, &pos, &list.last_doc) ||
-        !codec::GetString(data, &pos, &list.blob)) {
+        !codec::GetU64(data, &pos, &n_blocks)) {
       return Status::ParseError("truncated term entry");
     }
     if (term_id >= n_terms || seen[term_id]) {
       return Status::ParseError("invalid term id");
     }
+    if (n_blocks > (data.size() - pos) / kMinBlockBytes) {
+      return Status::ParseError("truncated block list");
+    }
+    list.blocks.reserve(n_blocks);
+    uint64_t postings = 0;
+    for (uint64_t b = 0; b < n_blocks; ++b) {
+      PostingBlock block;
+      uint32_t dense = 0;
+      if (!codec::GetU64(data, &pos, &block.first) ||
+          !codec::GetU64(data, &pos, &block.last) ||
+          !codec::GetU32(data, &pos, &block.count) ||
+          !codec::GetU32(data, &pos, &dense) ||
+          !codec::GetU32(data, &pos, &block.tf_at) ||
+          !codec::GetString(data, &pos, &block.ids) ||
+          !codec::GetString(data, &pos, &block.positions)) {
+        return Status::ParseError("truncated posting block");
+      }
+      block.dense = dense == 1;
+      if (dense > 1 || !ValidDocs(block) ||
+          (b > 0 && block.first <= list.blocks.back().last)) {
+        return Status::ParseError("inconsistent posting block");
+      }
+      postings += block.count;
+      index.payload_bytes_ += PayloadBytes(block);
+      list.blocks.push_back(std::move(block));
+    }
+    if (postings != list.doc_count) {
+      return Status::ParseError("posting count mismatch");
+    }
+    index.held_lists_ += !list.blocks.empty();
     seen[term_id] = true;
     index.lists_[term_id] = std::move(list);
     index.term_ids_.emplace(std::move(term), term_id);
@@ -269,274 +539,20 @@ Result<InvertedIndex> InvertedIndex::Deserialize(const std::string& data) {
   return index;
 }
 
-// --- block indexes: build, in-place upkeep, blocked query path ---------
-
-void InvertedIndex::EncodeBlock(const std::vector<DocId>& docs,
-                                BlockIndex* index, size_t b) {
-  PostingBlock& block = index->blocks[b];
-  index->bytes -= block.docs.size();
-  index->dense_count -= block.dense;
-  block.first = docs.front();
-  block.last = docs.back();
-  block.count = static_cast<uint32_t>(docs.size());
-  // Delta-varint form first; switch to a bitset when it is smaller (a
-  // dense run of near-consecutive ids packs to one bit per slot).
-  std::string varints;
-  for (size_t i = 1; i < docs.size(); ++i) {
-    PutVarint(&varints, docs[i] - docs[i - 1]);
-  }
-  const uint64_t span = block.last - block.first + 1;
-  const size_t bitset_bytes = static_cast<size_t>((span + 7) / 8);
-  block.dense = bitset_bytes < varints.size();
-  if (block.dense) {
-    block.docs.assign(bitset_bytes, '\0');
-    for (DocId doc : docs) {
-      uint64_t bit = doc - block.first;
-      block.docs[bit >> 3] |= static_cast<char>(1u << (bit & 7));
-    }
-  } else {
-    block.docs = std::move(varints);
-  }
-  index->bytes += block.docs.size();
-  index->dense_count += block.dense;
-}
-
-InvertedIndex::BlockIndex InvertedIndex::BuildBlocks(const TermList& list) {
-  BlockIndex index;
-  if (list.doc_count == 0) return index;
-  index.blocks.reserve((list.doc_count + kBlockDocs - 1) / kBlockDocs);
-  index.tf.reserve(list.doc_count);
-
-  std::vector<DocId> run;
-  run.reserve(kBlockDocs);
-  size_t pos = 0;
-  DocId doc = 0;
-  for (uint32_t i = 0; i < list.doc_count; ++i) {
-    if (run.empty()) {
-      index.blocks.emplace_back().record_offset = static_cast<uint32_t>(pos);
-    }
-    doc += GetVarint(list.blob, &pos);
-    uint64_t count = GetVarint(list.blob, &pos);
-    for (uint64_t j = 0; j < count; ++j) GetVarint(list.blob, &pos);
-    run.push_back(doc);
-    index.tf.push_back(static_cast<uint32_t>(count));
-    if (run.size() == kBlockDocs || i + 1 == list.doc_count) {
-      EncodeBlock(run, &index, index.blocks.size() - 1);
-      run.clear();
-    }
-  }
-  index.bytes += index.tf.size() * sizeof(uint32_t);
-  return index;
-}
-
-void InvertedIndex::AppendToBlocks(BlockIndex* index, DocId doc, uint32_t tf,
-                                   size_t record_offset) {
-  std::vector<DocId> docs;
-  if (index->blocks.empty() || index->blocks.back().count >= kBlockDocs) {
-    index->blocks.emplace_back().record_offset =
-        static_cast<uint32_t>(record_offset);
-  } else {
-    AppendBlockDocs(index->blocks.back(), &docs);
-  }
-  docs.push_back(doc);
-  EncodeBlock(docs, index, index->blocks.size() - 1);
-  index->tf.push_back(tf);
-  index->bytes += sizeof(uint32_t);
-}
-
-uint64_t InvertedIndex::Splice(uint32_t tid, DocId doc,
-                               const std::vector<uint32_t>* positions) {
-  TermList& list = lists_[tid];
-  BlockIndex& index = *BlockedFor(tid, /*build=*/true);
-  std::vector<PostingBlock>& blocks = index.blocks;
-  // The block holding doc — for an insert, the first block ending past it
-  // (one exists: inserts land below last_doc).
-  const size_t b =
-      std::partition_point(blocks.begin(), blocks.end(),
-                           [doc](const PostingBlock& block) {
-                             return block.last < doc;
-                           }) -
-      blocks.begin();
-  if (b == blocks.size()) return 0;
-  std::vector<DocId> docs;
-  AppendBlockDocs(blocks[b], &docs);
-  const size_t slot =
-      std::lower_bound(docs.begin(), docs.end(), doc) - docs.begin();
-  const bool insert = positions != nullptr;
-  if (!insert && docs[slot] != doc) return 0;
-
-  // [start, end) is what the patch replaces: the removed record or, for an
-  // insert, nothing — plus the doc delta of the record after the splice
-  // point, which is re-based on the new predecessor.
-  size_t start = blocks[b].record_offset;
-  for (size_t i = 0; i < slot; ++i) SkipRecord(list.blob, &start);
-  const DocId prev = slot > 0 ? docs[slot - 1]
-                     : b > 0  ? blocks[b - 1].last
-                              : 0;  // the list's first record: absolute id
-  size_t end = start;
-  uint64_t removed_tf = 0;
-  std::string patch;
-  if (insert) {
-    PutRecord(&patch, doc - prev, *positions);
-    GetVarint(list.blob, &end);
-    PutVarint(&patch, docs[slot] - doc);
-  } else {
-    removed_tf = SkipRecord(list.blob, &end);
-    if (end < list.blob.size()) {
-      const DocId next =
-          slot + 1 < docs.size() ? docs[slot + 1] : blocks[b + 1].first;
-      GetVarint(list.blob, &end);
-      PutVarint(&patch, next - prev);
-    }
-  }
-  const int64_t shift =
-      static_cast<int64_t>(patch.size()) - static_cast<int64_t>(end - start);
-  list.blob.replace(start, end - start, patch);
-
-  // Block index: one tf entry moves, later blocks' records move by
-  // `shift` — except a successor that opens the next block, which now
-  // starts where the removed record did — and this block re-encodes.
-  size_t tf_at = slot;
-  for (size_t k = 0; k < b; ++k) tf_at += blocks[k].count;
-  size_t later = b + 1;
-  if (insert) {
-    docs.insert(docs.begin() + slot, doc);
-    index.tf.insert(index.tf.begin() + tf_at,
-                    static_cast<uint32_t>(positions->size()));
-    index.bytes += sizeof(uint32_t);
-    ++list.doc_count;
-  } else {
-    if (slot + 1 == docs.size() && later < blocks.size()) {
-      blocks[later++].record_offset = static_cast<uint32_t>(start);
-    }
-    docs.erase(docs.begin() + slot);
-    index.tf.erase(index.tf.begin() + tf_at);
-    index.bytes -= sizeof(uint32_t);
-    --list.doc_count;
-    if (doc == list.last_doc) list.last_doc = prev;
-  }
-  for (; later < blocks.size(); ++later) {
-    blocks[later].record_offset =
-        static_cast<uint32_t>(blocks[later].record_offset + shift);
-  }
-  if (docs.empty()) {
-    index.bytes -= blocks[b].docs.size();
-    index.dense_count -= blocks[b].dense;
-    blocks.erase(blocks.begin() + b);
-  } else {
-    EncodeBlock(docs, &index, b);
-  }
-  return removed_tf;
-}
-
-void InvertedIndex::AppendBlockDocs(const PostingBlock& block,
-                                    std::vector<DocId>* out) {
-  if (block.dense) {
-    for (size_t byte = 0; byte < block.docs.size(); ++byte) {
-      uint8_t bits = static_cast<uint8_t>(block.docs[byte]);
-      while (bits != 0) {
-        int bit = __builtin_ctz(bits);
-        out->push_back(block.first + (byte << 3) + bit);
-        bits &= bits - 1;
-      }
-    }
-    return;
-  }
-  DocId doc = block.first;
-  out->push_back(doc);
-  size_t pos = 0;
-  for (uint32_t i = 1; i < block.count; ++i) {
-    doc += GetVarint(block.docs, &pos);
-    out->push_back(doc);
-  }
-}
-
-InvertedIndex::BlockIndex* InvertedIndex::BlockedFor(uint32_t tid,
-                                                     bool build) const {
-  {
-    std::lock_guard<std::mutex> lock(blocks_mu_);
-    auto it = blocks_.find(tid);
-    if (it != blocks_.end()) return it->second.get();
-  }
-  if (!build) return nullptr;
-  auto built = std::make_unique<BlockIndex>(BuildBlocks(lists_[tid]));
-  std::lock_guard<std::mutex> lock(blocks_mu_);
-  auto [it, inserted] = blocks_.emplace(tid, std::move(built));
-  if (inserted) blocks_built_.fetch_add(1, std::memory_order_relaxed);
-  return it->second.get();
-}
-
-bool InvertedIndex::PositionCursor::Advance(DocId doc,
-                                            std::vector<uint32_t>* out) {
-  const std::vector<PostingBlock>& skip = blocks->blocks;
-  while (block < skip.size() && skip[block].last < doc) {
-    ++block;
-    entered = false;
-  }
-  if (block >= skip.size()) return false;
-  const PostingBlock& here = skip[block];
-  if (doc < here.first) return false;
-  if (!entered) {
-    // The skip pointer bounds the decode to this block's records.
-    pos = here.record_offset;
-    record = 0;
-    entered = true;
-    decoded = false;
-  }
-  // A record already streamed past the target means the doc is absent.
-  if (decoded && current >= doc) return false;
-  while (record < here.count) {
-    DocId delta = GetVarint(list->blob, &pos);
-    // Doc deltas are relative to the PREVIOUS record, which for the
-    // block's first record lives outside the block; its absolute id is
-    // the skip entry's `first`.
-    current = (record == 0) ? here.first : current + delta;
-    ++record;
-    decoded = true;
-    uint64_t count = GetVarint(list->blob, &pos);
-    if (current == doc) {
-      out->clear();
-      out->reserve(count);
-      uint32_t position = 0;
-      for (uint64_t j = 0; j < count; ++j) {
-        position += static_cast<uint32_t>(GetVarint(list->blob, &pos));
-        out->push_back(position);
-      }
-      return true;
-    }
-    for (uint64_t j = 0; j < count; ++j) GetVarint(list->blob, &pos);
-    if (current > doc) return false;
-  }
-  return false;
-}
-
-std::vector<DocId> InvertedIndex::BlockDocs(const BlockIndex& blocks,
-                                            util::ExecContext* ctx) {
-  std::vector<DocId> out;
-  out.reserve(blocks.tf.size());
-  for (const PostingBlock& block : blocks.blocks) {
-    if (ctx != nullptr && !ctx->TickAlive(block.count)) break;
-    AppendBlockDocs(block, &out);
-  }
-  return out;
-}
+// --- reads -----------------------------------------------------------------
 
 std::vector<DocId> InvertedIndex::IntersectWithBlocks(
-    const std::vector<DocId>& acc, const BlockIndex& blocks,
+    const std::vector<DocId>& acc, const TermList& list,
     util::ExecContext* ctx) const {
   std::vector<DocId> out;
-  if (acc.empty() || blocks.blocks.empty()) return out;
+  if (acc.empty() || list.blocks.empty()) return out;
   std::vector<DocId> scratch;
   auto acc_it = acc.begin();
-  for (const PostingBlock& block : blocks.blocks) {
+  for (const PostingBlock& block : list.blocks) {
     // Skip pointers: fast-forward past blocks wholly below the accumulator
     // cursor and stop once blocks start past its end.
-    if (block.last < *acc_it) {
-      blocks_skipped_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (block.first > acc.back()) {
-      blocks_skipped_.fetch_add(1, std::memory_order_relaxed);
+    if (block.last < *acc_it || block.first > acc.back()) {
+      blocks_skipped_.value.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     if (ctx != nullptr && !ctx->TickAlive(block.count)) break;
@@ -556,23 +572,27 @@ std::vector<DocId> InvertedIndex::TermDocs(const std::string& term,
                                            util::ExecContext* ctx) const {
   std::vector<std::string> normalized = PhraseTerms(term);
   if (normalized.size() != 1) return AndDocs(normalized, ctx);
-  auto it = term_ids_.find(normalized[0]);
-  if (it == term_ids_.end()) return {};
-  return BlockDocs(*BlockedFor(it->second), ctx);
+  const TermList* list = FindList(normalized[0]);
+  if (list == nullptr) return {};
+  return ListDocs(list->blocks, list->doc_count, ctx);
 }
 
 std::vector<std::pair<DocId, uint32_t>> InvertedIndex::TermTfDocs(
     const std::string& term) const {
   std::vector<std::string> normalized = PhraseTerms(term);
   if (normalized.size() != 1) return {};  // single terms only
-  auto it = term_ids_.find(normalized[0]);
-  if (it == term_ids_.end()) return {};
-  const BlockIndex* blocks = BlockedFor(it->second);
-  std::vector<DocId> docs = BlockDocs(*blocks, nullptr);
+  const TermList* list = FindList(normalized[0]);
+  if (list == nullptr) return {};
   std::vector<std::pair<DocId, uint32_t>> out;
-  out.reserve(docs.size());
-  for (size_t i = 0; i < docs.size(); ++i) {
-    out.emplace_back(docs[i], blocks->tf[i]);
+  out.reserve(list->doc_count);
+  std::vector<DocId> docs;
+  for (const PostingBlock& block : list->blocks) {
+    docs.clear();
+    AppendBlockDocs(block, &docs);
+    size_t at = block.tf_at;
+    for (DocId doc : docs) {
+      out.emplace_back(doc, static_cast<uint32_t>(GetVarint(block.ids, &at)));
+    }
   }
   return out;
 }
@@ -583,23 +603,25 @@ std::vector<DocId> InvertedIndex::AndDocs(const std::vector<std::string>& terms,
   // Resolve all terms first (a missing term empties the intersection),
   // then fold starting from the rarest list — the accumulator can only
   // shrink, so the block-skip intersection does the least possible work.
-  std::vector<uint32_t> tids;
-  tids.reserve(terms.size());
+  std::vector<const TermList*> lists;
+  lists.reserve(terms.size());
   for (const std::string& term : terms) {
     for (const std::string& token : PhraseTerms(term)) {
-      auto it = term_ids_.find(token);
-      if (it == term_ids_.end()) return {};
-      tids.push_back(it->second);
+      const TermList* list = FindList(token);
+      if (list == nullptr) return {};
+      lists.push_back(list);
     }
   }
-  if (tids.empty()) return {};
-  std::sort(tids.begin(), tids.end(), [this](uint32_t a, uint32_t b) {
-    return lists_[a].doc_count < lists_[b].doc_count;
-  });
-  tids.erase(std::unique(tids.begin(), tids.end()), tids.end());
-  std::vector<DocId> acc = BlockDocs(*BlockedFor(tids[0]), ctx);
-  for (size_t i = 1; i < tids.size() && !acc.empty(); ++i) {
-    acc = IntersectWithBlocks(acc, *BlockedFor(tids[i]), ctx);
+  if (lists.empty()) return {};
+  std::sort(lists.begin(), lists.end(),
+            [](const TermList* a, const TermList* b) {
+              return a->doc_count < b->doc_count;
+            });
+  lists.erase(std::unique(lists.begin(), lists.end()), lists.end());
+  std::vector<DocId> acc =
+      ListDocs(lists[0]->blocks, lists[0]->doc_count, ctx);
+  for (size_t i = 1; i < lists.size() && !acc.empty(); ++i) {
+    acc = IntersectWithBlocks(acc, *lists[i], ctx);
   }
   return acc;
 }
@@ -610,12 +632,11 @@ std::vector<DocId> InvertedIndex::PhraseDocs(const std::string& phrase,
   if (terms.empty()) return {};
   if (terms.size() == 1) return TermDocs(terms[0], ctx);
 
-  std::vector<uint32_t> tids;
-  tids.reserve(terms.size());
-  for (const std::string& term : terms) {
-    auto it = term_ids_.find(term);
-    if (it == term_ids_.end()) return {};  // a missing term kills the phrase
-    tids.push_back(it->second);
+  std::vector<RecordCursor> cursors(terms.size());
+  for (size_t k = 0; k < terms.size(); ++k) {
+    const TermList* list = FindList(terms[k]);
+    if (list == nullptr) return {};  // a missing term kills the phrase
+    cursors[k].blocks = &list->blocks;
   }
 
   // Candidate docs: block-skip intersection of all term doc sets, rarest
@@ -623,27 +644,22 @@ std::vector<DocId> InvertedIndex::PhraseDocs(const std::string& phrase,
   // read that stops early leaves a prefix of the candidates, and so a
   // prefix of the phrase's documents.
   std::vector<DocId> candidates = AndDocs(terms, ctx);
-  if (candidates.empty()) return candidates;
-
-  // One forward-only cursor per term: candidates are sorted, so each
-  // record in each list is decoded at most once across the whole phrase.
-  std::vector<PositionCursor> cursors(tids.size());
-  for (size_t k = 0; k < tids.size(); ++k) {
-    cursors[k].list = &lists_[tids[k]];
-    cursors[k].blocks = BlockedFor(tids[k]);
-  }
-  std::vector<std::vector<uint32_t>> positions(tids.size());
+  std::vector<std::vector<uint32_t>> positions(terms.size());
   std::vector<DocId> out;
   for (DocId doc : candidates) {
+    uint64_t walked = 0;
     bool have_all = true;
-    for (size_t k = 0; k < tids.size() && have_all; ++k) {
-      have_all = cursors[k].Advance(doc, &positions[k]);
+    for (size_t k = 0; k < cursors.size() && have_all; ++k) {
+      have_all = cursors[k].Seek(doc, &positions[k], &walked);
     }
+    // Charged before the candidate's verdict is used, so a doomed context
+    // keeps the prefix of candidates verified so far.
+    if (ctx != nullptr && !ctx->TickAlive(walked)) break;
     if (!have_all) continue;  // defensive: candidates came from these lists
     bool matched = false;
     for (uint32_t start : positions[0]) {
       bool consecutive = true;
-      for (size_t k = 1; k < tids.size(); ++k) {
+      for (size_t k = 1; k < positions.size(); ++k) {
         if (!std::binary_search(positions[k].begin(), positions[k].end(),
                                 start + static_cast<uint32_t>(k))) {
           consecutive = false;
@@ -660,27 +676,20 @@ std::vector<DocId> InvertedIndex::PhraseDocs(const std::string& phrase,
   return out;
 }
 
+// --- accounting ------------------------------------------------------------
+
 InvertedIndex::BlockStats InvertedIndex::block_stats() const {
   BlockStats stats;
-  stats.built_lists = blocks_built_.load(std::memory_order_relaxed);
-  stats.skipped_blocks = blocks_skipped_.load(std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(blocks_mu_);
-  for (const auto& [tid, index] : blocks_) {
-    stats.block_bytes += index->bytes;
-    stats.bitset_blocks += index->dense_count;
-    stats.varint_blocks += index->blocks.size() - index->dense_count;
-  }
+  stats.built_lists = held_lists_;
+  stats.block_bytes = payload_bytes_;
+  stats.skipped_blocks = blocks_skipped_.value.load(std::memory_order_relaxed);
   return stats;
 }
 
 size_t InvertedIndex::CompressedPostingsBytes() const {
-  size_t total = 0;
-  for (const TermList& list : lists_) total += list.blob.size();
-  std::lock_guard<std::mutex> lock(blocks_mu_);
-  for (const auto& [tid, index] : blocks_) {
-    total += index->bytes + index->blocks.size() * sizeof(PostingBlock);
-  }
-  return total;
+  size_t blocks = 0;
+  for (const TermList& list : lists_) blocks += list.blocks.size();
+  return payload_bytes_ + blocks * sizeof(PostingBlock);
 }
 
 size_t InvertedIndex::UncompressedPostingsBytes() const {
@@ -696,7 +705,10 @@ size_t InvertedIndex::MemoryUsage() const {
     total += sizeof(tid) + sizeof(term) + term.capacity() + 16;  // bucket
   }
   for (const TermList& list : lists_) {
-    total += sizeof(TermList) + list.blob.capacity();
+    total += sizeof(TermList) + list.blocks.capacity() * sizeof(PostingBlock);
+    for (const PostingBlock& block : list.blocks) {
+      total += HeapBytes(block.ids) + HeapBytes(block.positions);
+    }
   }
   for (const auto& [id, term_ids] : doc_terms_) {
     total += sizeof(id) + sizeof(term_ids) +

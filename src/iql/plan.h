@@ -46,8 +46,6 @@ enum class OpCode : uint8_t {
   kDifference,    ///< r[dst] = r[a] \ r[b]
   kMove,          ///< r[dst] = r[a]
   kJumpIfEmpty,   ///< if r[a] is empty, continue at ops[aux]
-  kParGroup,      ///< r[dst] = parallel and/or of subs[aux, aux+b) over r[a];
-                  ///< flags: 0 = and, 1 = or
   kStepChild,     ///< r[dst] = (children of frontier r[a]) ∩ name set r[b]
   kExpand,        ///< r[dst] = descendant step: frontier r[a], names r[b]
                   ///< (R4 forward / R6 backward chosen at run time)

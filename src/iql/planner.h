@@ -1,10 +1,9 @@
 // Lowers parsed + rule-optimized iQL (the logical algebra of ast.h) into
-// flat PlanPrograms (plan.h) for the VM. Serial and/or chains become
+// flat PlanPrograms (plan.h) for the VM. And/or chains become
 // accumulator register chains with short-circuit jumps (a conjunct runs
-// only while the accumulator is non-empty); pool-backed processors lower
-// multi-child and/or nodes and set-operator arms to parallel
-// sub-programs whose results the VM folds in input order, so a program's
-// rows and scores do not depend on the thread count.
+// only while the accumulator is non-empty); set-operator arms become
+// sub-programs, which a pool-backed VM runs in parallel and folds in input
+// order. Plans do not depend on the thread count.
 
 #ifndef IDM_IQL_PLANNER_H_
 #define IDM_IQL_PLANNER_H_
@@ -18,11 +17,6 @@ namespace idm::iql {
 
 class Planner {
  public:
-  /// \p parallel: whether the executing processor owns a thread pool
-  /// (QueryProcessor::Options::threads > 1). The flag is static per
-  /// processor, so it is compiled into the program shape.
-  explicit Planner(bool parallel) : parallel_(parallel) {}
-
   /// Compiles \p query into a root program (normalized text, canonical
   /// cache key and fingerprint filled in). Never fails: shapes the VM
   /// rejects (nested join inputs, set ops over joins) lower fine and
@@ -31,7 +25,7 @@ class Planner {
 
   /// Compiles a predicate into a pred-flavored program: the executor
   /// seeds r0 with the universe and reads the surviving ids from out_reg
-  /// (parallel and/or arms, and Vm::Member's one-view membership test).
+  /// (Vm::Member's one-view membership test).
   std::unique_ptr<PlanProgram> LowerPredicate(const PredNode& pred) const;
 
   /// True when \p filter is a pure keyword/phrase predicate — the filters
@@ -42,8 +36,6 @@ class Planner {
   std::unique_ptr<PlanProgram> LowerQueryProgram(const Query& query) const;
   uint16_t LowerPred(const PredNode& pred, uint16_t universe,
                      PlanProgram* program) const;
-
-  bool parallel_;
 };
 
 }  // namespace idm::iql

@@ -76,7 +76,7 @@ Result<bool> QueryProcessor::MatchesDoc(const Query& query,
   // Every predicate op is intersective — pred(X) == X ∩ pred(U) for
   // X ⊆ U — so the live singleton universe answers membership exactly.
   std::unique_ptr<PlanProgram> program =
-      Planner(/*parallel=*/false).LowerPredicate(*predicate);
+      Planner().LowerPredicate(*predicate);
   Vm::Env env{module_, classes_, clock_, &options_, pool_.get()};
   return Vm::Member(env, *program, id);
 }
@@ -116,7 +116,7 @@ Result<QueryResult> QueryProcessor::Evaluate(const Query& /*query*/,
 }
 
 std::unique_ptr<PlanProgram> QueryProcessor::Plan(const Query& query) const {
-  return Planner(pool_ != nullptr && pool_->size() > 0).Lower(query);
+  return Planner().Lower(query);
 }
 
 Result<QueryResult> QueryProcessor::Run(const PlanProgram& program,

@@ -218,50 +218,6 @@ core::Value ResolveLiteral(const VmState& st, const PlanProgram& program,
   return program.literals[op.aux];
 }
 
-/// Parallel and/or group: every child runs against the incoming universe
-/// in its own state, then the results fold in input order. Evaluating an
-/// and-child against the universe rather than the narrowed accumulator is
-/// exact because every predicate is intersective (pred(X) == X ∩ pred(U)
-/// for X ⊆ U). The AND fold keeps the serial chain's short-circuit: once
-/// the accumulator empties, the remaining children are neither folded nor
-/// absorbed, so diagnostics match a serial run too.
-Result<Batch> ExecParGroup(VmState& st, const PlanProgram& program,
-                           const PlanOp& op, const Batch& universe) {
-  const size_t n = op.b;
-  std::vector<obs::TraceSpan*> arm_spans(n, nullptr);
-  if (st.span != nullptr) {
-    for (auto& arm_span : arm_spans) arm_span = st.span->AddChild("pred");
-  }
-  struct ChildOut {
-    Result<Batch> ids;
-    std::unique_ptr<VmState> state;
-  };
-  auto outs = util::OrderedParallelMap<ChildOut>(st.pool, n, [&](size_t i) {
-    auto child = std::make_unique<VmState>(st, arm_spans[i]);
-    Result<Batch> ids =
-        RunPredProgram(*child, *program.subs[op.aux + i], universe);
-    if (arm_spans[i] != nullptr) arm_spans[i]->End();
-    return ChildOut{std::move(ids), std::move(child)};
-  });
-  if (op.flags == 0) {  // and
-    std::vector<DocId> acc = *universe;
-    for (size_t i = 0; i < outs.size(); ++i) {
-      if (i > 0 && acc.empty()) break;
-      if (!outs[i].ids.ok()) return outs[i].ids.status();
-      st.Absorb(*outs[i].state);
-      acc = Intersect(acc, **outs[i].ids);
-    }
-    return MakeBatch(std::move(acc));
-  }
-  std::vector<DocId> acc;  // or
-  for (auto& out : outs) {
-    if (!out.ids.ok()) return out.ids.status();
-    st.Absorb(*out.state);
-    acc = UnionSets(acc, **out.ids);
-  }
-  return MakeBatch(std::move(acc));
-}
-
 /// Descendant step: R6 backward expansion when the candidates are few next
 /// to the frontier (the Q8 shape), else R4 forward expansion.
 Batch ExecExpand(VmState& st, const Batch& frontier_b, const Batch& names_b) {
@@ -710,11 +666,6 @@ Status ExecOps(VmState& st, const PlanProgram& program,
       case OpCode::kJumpIfEmpty:
         if (regs[op.a]->empty()) pc = static_cast<size_t>(op.aux) - 1;
         break;
-      case OpCode::kParGroup: {
-        IDM_ASSIGN_OR_RETURN(regs[op.dst],
-                             ExecParGroup(st, program, op, regs[op.a]));
-        break;
-      }
       case OpCode::kStepChild:
         regs[op.dst] = ExecStepChild(st, regs[op.a], regs[op.b]);
         break;

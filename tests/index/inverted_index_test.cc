@@ -141,9 +141,7 @@ TEST(InvertedIndexBlocksTest, BlocksSurviveWrites) {
   for (DocId id = 0; id < 800; id += 2) {
     add(id, id % 3 == 0 ? "alpha beta alpha" : "beta alpha");
   }
-  // Builds both lists' block indexes.
   ASSERT_FALSE(index.PhraseDocs("alpha beta").empty());
-  const uint64_t built = index.block_stats().built_lists;
 
   add(1001, "alpha beta");        // in-order append
   add(301, "beta alpha beta");    // insert below last_doc
@@ -152,7 +150,6 @@ TEST(InvertedIndexBlocksTest, BlocksSurviveWrites) {
   remove(0);                      // remove a list's first
   remove(1001);                   // ... and its last
 
-  EXPECT_EQ(index.block_stats().built_lists, built);
   // The blocks kept current by the writes answer like blocks built from
   // scratch over the final texts, and like a scan of those texts.
   InvertedIndex fresh;
@@ -164,7 +161,48 @@ TEST(InvertedIndexBlocksTest, BlocksSurviveWrites) {
   for (const char* phrase : {"alpha beta", "beta alpha", "alpha alpha"}) {
     EXPECT_EQ(index.PhraseDocs(phrase), ScanPhrase(texts, phrase)) << phrase;
   }
-  EXPECT_EQ(index.block_stats().built_lists, built);
+}
+
+TEST(InvertedIndexBlocksTest, OversizedBlocksSplitAndDenseTailsSeal) {
+  InvertedIndex index;
+  std::map<DocId, std::string> texts;
+  auto add = [&](DocId id, const std::string& text) {
+    index.AddDocument(id, text);
+    texts[id] = text;
+  };
+  // "omega" is in one doc above every other, so AND-ing it with "alpha"
+  // skips exactly the "alpha" blocks below that doc.
+  auto blocks_below_omega = [&] {
+    const uint64_t before = index.block_stats().skipped_blocks;
+    EXPECT_EQ(index.AndDocs({"omega", "alpha"}).size(), 1u);
+    return index.block_stats().skipped_blocks - before;
+  };
+  for (DocId id = 0; id < 3 * 128; id += 3) add(id, "alpha beta");
+  add(1000, "alpha omega");
+  EXPECT_EQ(blocks_below_omega(), 1u);
+
+  // Filling the first block's gaps grows it past 2 * 128 postings at the
+  // 257th, where it splits in two; later inserts land in either half.
+  for (DocId id = 1; id < 3 * 128; id += 3) add(id, "alpha beta alpha");
+  for (DocId id = 2; id < 3 * 128; id += 3) add(id, "beta alpha");
+  EXPECT_EQ(blocks_below_omega(), 2u);
+
+  // Removing the top doc leaves a bitset tail, which an append seals
+  // rather than extends.
+  index.RemoveDocument(1000);
+  texts.erase(1000);
+  add(2000, "alpha omega");
+  EXPECT_EQ(blocks_below_omega(), 2u);
+
+  InvertedIndex fresh;
+  for (const auto& [id, text] : texts) fresh.AddDocument(id, text);
+  for (const char* term : {"alpha", "beta", "omega"}) {
+    EXPECT_EQ(index.TermDocs(term), ScanPhrase(texts, term)) << term;
+    EXPECT_EQ(index.TermTfDocs(term), fresh.TermTfDocs(term)) << term;
+  }
+  for (const char* phrase : {"alpha beta", "beta alpha", "alpha omega"}) {
+    EXPECT_EQ(index.PhraseDocs(phrase), ScanPhrase(texts, phrase)) << phrase;
+  }
 }
 
 TEST(InvertedIndexBlocksTest, GovernedReadsChargePerBlock) {
@@ -188,6 +226,32 @@ TEST(InvertedIndexBlocksTest, GovernedReadsChargePerBlock) {
   EXPECT_EQ(index.TermDocs("needle", &unlimited), all);
   EXPECT_FALSE(unlimited.doomed());
   EXPECT_EQ(unlimited.steps_used(), 1000u);
+}
+
+TEST(InvertedIndexBlocksTest, GovernedPhraseVerificationCharges) {
+  InvertedIndex index;
+  for (DocId id = 0; id < 1000; ++id) index.AddDocument(id, "needle thread");
+  const std::vector<DocId> all = index.PhraseDocs("needle thread");
+  ASSERT_EQ(all.size(), 1000u);
+
+  // AndDocs charges the 1000 postings of each list's blocks; verification
+  // then walks one record per term per candidate, so a budget of 3000
+  // steps verifies 500 candidates and dooms the read at the 501st.
+  util::ExecContext::Limits limits;
+  limits.max_steps = 3000;
+  util::ExecContext governed(nullptr, limits);
+  EXPECT_EQ(index.PhraseDocs("needle thread", &governed),
+            std::vector<DocId>(all.begin(), all.begin() + 500));
+  EXPECT_TRUE(governed.doomed());
+}
+
+TEST(InvertedIndexBlocksTest, CancelledPhraseReadChargesNothing) {
+  InvertedIndex index;
+  for (DocId id = 0; id < 1000; ++id) index.AddDocument(id, "needle thread");
+  util::ExecContext cancelled(nullptr, util::ExecContext::Limits());
+  cancelled.Cancel(Status::Cancelled("cancelled before the read"));
+  EXPECT_TRUE(index.PhraseDocs("needle thread", &cancelled).empty());
+  EXPECT_EQ(cancelled.steps_used(), 0u);
 }
 
 TEST(InvertedIndexPropertyTest, MatchesNaiveScanOnRandomCorpus) {

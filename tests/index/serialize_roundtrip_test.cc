@@ -13,6 +13,7 @@
 #include "index/lineage.h"
 #include "index/name_index.h"
 #include "index/tuple_index.h"
+#include "util/rng.h"
 
 namespace idm::index {
 namespace {
@@ -91,6 +92,96 @@ TEST(InvertedIndexRoundTrip, PreservesPostingsAndPositions) {
             (std::vector<DocId>{3}));
   EXPECT_EQ(restored->doc_count(), index.doc_count());
   EXPECT_EQ(index.Serialize(), restored->Serialize());
+}
+
+// --- Content-image decoder sweep -----------------------------------------
+
+/// A churned index whose image holds varint and bitset blocks, spliced,
+/// emptied and sealed ones, and terms whose every document went.
+InvertedIndex ChurnedIndex() {
+  InvertedIndex index;
+  Rng rng(7);
+  const char* kWords[] = {"alpha", "beta", "gamma", "delta"};
+  for (DocId id = 0; id < 300; ++id) {
+    std::string text = "the";
+    for (size_t i = 0, n = rng.Uniform(4); i < n; ++i) {
+      text += std::string(" ") + kWords[rng.Uniform(4)];
+    }
+    index.AddDocument(id * (id % 7 == 0 ? 5 : 1), text);
+  }
+  for (DocId id = 0; id < 300; id += 3) index.RemoveDocument(id);
+  for (DocId id = 1; id < 200; id += 4) index.AddDocument(id, "the rare beta");
+  index.AddDocument(5000, "gone");
+  index.RemoveDocument(5000);
+  return index;
+}
+
+/// Every read on every term of \p index; each must return without
+/// crashing, hanging or allocating beyond what the image holds.
+void ReadEverything(const InvertedIndex& index, size_t image_size) {
+  for (const char* term :
+       {"the", "alpha", "beta", "gamma", "delta", "rare", "gone"}) {
+    EXPECT_LE(index.TermDocs(term).size(), image_size * 8);
+    EXPECT_LE(index.TermTfDocs(term).size(), image_size * 8);
+    EXPECT_LE(index.AndDocs({term, "the"}).size(), image_size * 8);
+    EXPECT_LE(index.PhraseDocs(std::string("the ") + term).size(),
+              image_size * 8);
+  }
+}
+
+TEST(InvertedIndexHardening, TruncationsAndByteFlipsFailOrReadSafely) {
+  const std::string image = ChurnedIndex().Serialize();
+  Result<InvertedIndex> whole = InvertedIndex::Deserialize(image);
+  ASSERT_TRUE(whole.ok()) << whole.status();
+  EXPECT_EQ(whole->Serialize(), image);
+  for (size_t cut = 0; cut < image.size(); ++cut) {
+    Result<InvertedIndex> truncated =
+        InvertedIndex::Deserialize(image.substr(0, cut));
+    ASSERT_FALSE(truncated.ok()) << "accepted a " << cut << "-byte prefix";
+    EXPECT_EQ(truncated.status().code(), StatusCode::kParseError);
+  }
+  Rng rng(2006);
+  size_t accepted = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string mutant = image;
+    mutant[rng.Uniform(mutant.size())] ^=
+        static_cast<char>(1u << rng.Uniform(8));
+    Result<InvertedIndex> restored = InvertedIndex::Deserialize(mutant);
+    if (!restored.ok()) continue;
+    ++accepted;
+    ReadEverything(*restored, mutant.size());
+  }
+  // Flips in position bytes, doc ids of the doc->terms map and the like
+  // load; the sweep must have read some such mutants.
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(InvertedIndexHardening, RejectsInconsistentBlocks) {
+  InvertedIndex index;
+  for (DocId id = 0; id < 10; ++id) index.AddDocument(id * 3, "needle");
+  const std::string image = index.Serialize();
+  // Header (8 + 4 + 8 + 8), then "needle": 8 + 6 name bytes, term id,
+  // doc count and the block count; the block's count field follows its
+  // two 8-byte bounds.
+  const size_t block_at = 28 + 14 + 4 + 4 + 8;
+  auto with_u32 = [&](size_t at, uint32_t value) {
+    std::string mutant = image;
+    for (int i = 0; i < 4; ++i) mutant[at + i] = static_cast<char>(value >> (8 * i));
+    return mutant;
+  };
+  ASSERT_TRUE(InvertedIndex::Deserialize(image).ok());
+  for (uint32_t count : {0u, 9u, 11u}) {
+    EXPECT_FALSE(InvertedIndex::Deserialize(with_u32(block_at + 16, count)).ok())
+        << count;
+  }
+  // first > last.
+  std::string swapped = image;
+  swapped[block_at] = static_cast<char>(100);
+  EXPECT_FALSE(InvertedIndex::Deserialize(swapped).ok());
+  // A varint payload read as a bitset.
+  EXPECT_FALSE(InvertedIndex::Deserialize(with_u32(block_at + 20, 1)).ok());
+  // The list's doc count disagrees with its blocks.
+  EXPECT_FALSE(InvertedIndex::Deserialize(with_u32(28 + 14 + 4, 11)).ok());
 }
 
 // --- Catalog hardening (satellite 2) ---------------------------------------

@@ -23,10 +23,31 @@ class ModelSweep : public ::testing::TestWithParam<uint64_t> {};
 
 // --- InvertedIndex vs. model -------------------------------------------------
 
-/// Every non-empty posting list of \p index as "doc_count/last_doc/blob",
-/// read back from its Serialize() image. The image carries the blobs
-/// verbatim, so equal maps mean byte-identical checkpoints of the lists.
-std::map<std::string, std::string> PostingImages(const InvertedIndex& index) {
+/// One posting as the image stores it.
+struct Record {
+  DocId doc = 0;
+  uint64_t tf = 0;
+  std::vector<uint64_t> positions;
+  bool operator==(const Record&) const = default;
+};
+
+uint64_t ReadVarint(const std::string& in, size_t* pos) {
+  uint64_t value = 0;
+  for (int shift = 0; *pos < in.size() && shift < 64; shift += 7) {
+    const uint8_t byte = static_cast<uint8_t>(in[(*pos)++]);
+    value |= static_cast<uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) break;
+  }
+  return value;
+}
+
+/// Every non-empty posting list of \p index, decoded record by record from
+/// its Serialize() image (content-image format 2: per term, blocks of doc
+/// ids as delta varints or a bitset over [first, last] followed by one tf
+/// varint per doc, then each doc's position deltas). Block boundaries
+/// depend on the order of writes; the records do not.
+void DecodePostings(const InvertedIndex& index,
+                    std::map<std::string, std::vector<Record>>* lists) {
   const std::string data = index.Serialize();
   size_t pos = 0;
   uint64_t magic = 0, tokens = 0, n_terms = 0;
@@ -35,34 +56,79 @@ std::map<std::string, std::string> PostingImages(const InvertedIndex& index) {
               codec::GetU32(data, &pos, &version) &&
               codec::GetU64(data, &pos, &tokens) &&
               codec::GetU64(data, &pos, &n_terms));
-  std::map<std::string, std::string> lists;
+  EXPECT_EQ(version, 2u);
   for (uint64_t i = 0; i < n_terms; ++i) {
-    std::string term, blob;
+    std::string term;
     uint32_t term_id = 0, doc_count = 0;
-    uint64_t last_doc = 0;
-    EXPECT_TRUE(codec::GetString(data, &pos, &term) &&
+    uint64_t n_blocks = 0;
+    ASSERT_TRUE(codec::GetString(data, &pos, &term) &&
                 codec::GetU32(data, &pos, &term_id) &&
                 codec::GetU32(data, &pos, &doc_count) &&
-                codec::GetU64(data, &pos, &last_doc) &&
-                codec::GetString(data, &pos, &blob));
-    if (doc_count == 0) {
-      // A term whose every document was removed keeps an empty list.
-      EXPECT_TRUE(blob.empty() && last_doc == 0) << term;
-      continue;
+                codec::GetU64(data, &pos, &n_blocks));
+    std::vector<Record> records;
+    for (uint64_t b = 0; b < n_blocks; ++b) {
+      uint64_t first = 0, last = 0;
+      uint32_t count = 0, dense = 0, tf_start = 0;
+      std::string bytes, positions;
+      ASSERT_TRUE(codec::GetU64(data, &pos, &first) &&
+                  codec::GetU64(data, &pos, &last) &&
+                  codec::GetU32(data, &pos, &count) &&
+                  codec::GetU32(data, &pos, &dense) &&
+                  codec::GetU32(data, &pos, &tf_start) &&
+                  codec::GetString(data, &pos, &bytes) &&
+                  codec::GetString(data, &pos, &positions) &&
+                  count > 0 && tf_start <= bytes.size());
+      const std::string docs = bytes.substr(0, tf_start);
+      const std::string tf = bytes.substr(tf_start);
+      std::vector<DocId> ids;
+      if (dense != 0) {
+        for (size_t bit = 0; bit < docs.size() * 8; ++bit) {
+          if ((docs[bit / 8] >> (bit % 8)) & 1) ids.push_back(first + bit);
+        }
+      } else {
+        size_t at = 0;
+        ids.push_back(first);
+        while (ids.size() < count) {
+          ids.push_back(ids.back() + ReadVarint(docs, &at));
+        }
+        EXPECT_EQ(at, docs.size()) << term;
+      }
+      EXPECT_EQ(ids.size(), count) << term;
+      EXPECT_EQ(ids.back(), last) << term;
+      size_t tf_at = 0, pos_at = 0;
+      for (DocId id : ids) {
+        Record record{id, ReadVarint(tf, &tf_at), {}};
+        uint64_t position = 0;
+        for (uint64_t k = 0; k < record.tf; ++k) {
+          position += ReadVarint(positions, &pos_at);
+          record.positions.push_back(position);
+        }
+        records.push_back(std::move(record));
+      }
+      EXPECT_EQ(tf_at, tf.size()) << term;
+      EXPECT_EQ(pos_at, positions.size()) << term;
     }
-    lists[term] = std::to_string(doc_count) + "/" + std::to_string(last_doc) +
-                  "/" + blob;
+    EXPECT_EQ(records.size(), doc_count) << term;
+    // A term whose every document was removed keeps an empty list.
+    if (!records.empty()) (*lists)[term] = std::move(records);
   }
+}
+
+std::map<std::string, std::vector<Record>> PostingRecords(
+    const InvertedIndex& index) {
+  std::map<std::string, std::vector<Record>> lists;
+  DecodePostings(index, &lists);
   return lists;
 }
 
-// Writes at block scale: ids spread over more than ten 128-doc blocks, the
-// blocked reads interleaved so that writes land on resident block indexes,
-// and every kind of splice — re-adds, inserts below a list's last doc,
-// removal of a list's first and last record and of a block's last record,
-// whole blocks and whole lists emptied. At each checkpoint, every query
-// method must answer exactly like a scan of the model's texts, and every
-// posting list must be the same bytes as in a fresh index built from them.
+// Writes at block scale: ids spread over more than ten 128-doc blocks,
+// reads interleaved with the writes, and every kind of splice — re-adds,
+// inserts below a list's last doc, removal of a list's first and last
+// record and of a block's last record, whole blocks and whole lists
+// emptied. At each checkpoint, every query method must answer exactly like
+// a scan of the model's texts, every posting list must hold the same
+// (doc, tf, positions) records as a fresh index built from them, and the
+// image must survive a Deserialize/Serialize round trip byte for byte.
 TEST_P(ModelSweep, InvertedIndexMatchesModelUnderChurn) {
   Rng rng(GetParam());
   const std::vector<std::string> kCommon = {"red", "blue", "fox",
@@ -71,8 +137,8 @@ TEST_P(ModelSweep, InvertedIndexMatchesModelUnderChurn) {
   words.push_back("the");   // in every generated doc
   words.push_back("rare");  // in about one in thirty
   // Id slot i is doc id i * kStride: a one-byte doc delta that grows to two
-  // bytes when the record in between goes, so splices shift later blocks'
-  // record offsets by something other than the removed record's length.
+  // bytes when the record in between goes, so a splice changes a varint doc
+  // payload by something other than one delta's length.
   constexpr DocId kSlots = 2048;
   constexpr DocId kLoaded = kSlots * 7 / 8;
   constexpr DocId kStride = 97;
@@ -137,7 +203,11 @@ TEST_P(ModelSweep, InvertedIndexMatchesModelUnderChurn) {
         EXPECT_EQ(index.PhraseDocs(phrase), list_of(phrase)) << phrase;
       }
     }
-    EXPECT_EQ(PostingImages(index), PostingImages(fresh));
+    EXPECT_EQ(PostingRecords(index), PostingRecords(fresh));
+    const std::string image = index.Serialize();
+    Result<InvertedIndex> restored = InvertedIndex::Deserialize(image);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ(restored->Serialize(), image);
   };
 
   // Bulk load in id order over most slots, leaving gaps for inserts and
@@ -149,11 +219,10 @@ TEST_P(ModelSweep, InvertedIndexMatchesModelUnderChurn) {
   ASSERT_GE(list_of("red").size(), 400u);
   check("bulk load");
 
-  // Scripted splices on freshly built blocks of 128 postings: remove the
+  // Scripted splices on freshly sealed blocks of 128 postings: remove the
   // last record of the first blocks of "the", whose successors open the
   // next blocks; empty whole blocks of "red"; empty "rare", then refill it
   // by appends and an insert below its last doc.
-  index.TermDocs("the");
   const std::vector<DocId> the = list_of("the");
   for (size_t block = 1; block <= 4; ++block) remove(the[block * 128 - 1]);
   const std::vector<DocId> red = list_of("red");
@@ -170,7 +239,7 @@ TEST_P(ModelSweep, InvertedIndexMatchesModelUnderChurn) {
     const std::string& word = words[rng.Uniform(words.size())];
     const double op = rng.NextDouble();
     if (op < 0.15) {
-      // Blocked reads: build or touch the block indexes the writes edit.
+      // Reads between the writes.
       const std::string phrase =
           word + " " + words[rng.Uniform(words.size())];
       EXPECT_EQ(index.TermDocs(word), list_of(word)) << step;
