@@ -14,6 +14,13 @@ namespace {
 /// verification is cheap, large enough that skip pointers pay off.
 constexpr uint32_t kBlockDocs = 128;
 
+constexpr uint64_t kContentMagic = 0x69444D31434E5431ULL;  // "iDM1CNT1"
+constexpr uint32_t kContentFormatVersion = 2;
+/// Smallest encodings of a term entry and of a block (empty strings), the
+/// bounds on counts read from an image.
+constexpr size_t kMinTermBytes = 8 + 4 + 4 + 8;
+constexpr size_t kMinBlockBytes = 8 + 8 + 4 + 4 + 4 + 2 * 8;
+
 void PutVarint(std::string* out, uint64_t value) {
   while (value >= 0x80) {
     out->push_back(static_cast<char>((value & 0x7F) | 0x80));
@@ -33,17 +40,21 @@ uint64_t GetVarint(std::string_view in, size_t* pos) {
   return value;
 }
 
-size_t VarintLength(uint64_t value) {
-  size_t length = 1;
-  for (; value >= 0x80; value >>= 7) ++length;
-  return length;
-}
-
 /// Moves *pos past \p n varints, stopping at the end of \p in.
 void SkipVarints(std::string_view in, size_t* pos, uint64_t n) {
   while (n > 0 && *pos < in.size()) {
     if ((static_cast<uint8_t>(in[(*pos)++]) & 0x80) == 0) --n;
   }
+}
+
+/// The number of varints in \p in; UINT64_MAX when its last is cut short.
+uint64_t VarintCount(std::string_view in) {
+  if (!in.empty() && (static_cast<uint8_t>(in.back()) & 0x80) != 0) {
+    return UINT64_MAX;
+  }
+  uint64_t count = 0;
+  for (char byte : in) count += (static_cast<uint8_t>(byte) & 0x80) == 0;
+  return count;
 }
 
 /// One doc's positions as deltas, the first from 0.
@@ -100,29 +111,29 @@ void AppendBlockDocs(const PostingBlock& block, std::vector<DocId>* out) {
 }
 
 /// Sets \p block's skip bounds and `ids` from its ascending doc ids and
-/// its \p tf stream; the doc payload is delta varints or a bitset over
-/// [first, last], whichever is smaller. \p tf may view the old `ids`.
+/// its \p tf stream; the doc payload is delta varints, or a bitset over
+/// [first, last] when \p dense_ok and that is smaller. \p tf may view the
+/// old `ids`.
 void EncodeBlock(const std::vector<DocId>& docs, std::string_view tf,
-                 PostingBlock* block) {
+                 bool dense_ok, PostingBlock* block) {
   block->first = docs.front();
   block->last = docs.back();
   block->count = static_cast<uint32_t>(docs.size());
-  size_t varint_bytes = 0;
+  size_t varint_bytes = 0;  // 7 bits a byte, at least one byte a delta
   for (size_t i = 1; i < docs.size(); ++i) {
-    varint_bytes += VarintLength(docs[i] - docs[i - 1]);
+    varint_bytes += (70 - __builtin_clzll((docs[i] - docs[i - 1]) | 1)) / 7;
   }
   const uint64_t bitset_bytes = (block->last - block->first) / 8 + 1;
-  block->dense = bitset_bytes < varint_bytes;
+  block->dense = dense_ok && bitset_bytes < varint_bytes;
   std::string ids;
+  ids.reserve((block->dense ? bitset_bytes : varint_bytes) + tf.size());
   if (block->dense) {
-    ids.reserve(bitset_bytes + tf.size());
     ids.assign(bitset_bytes, '\0');
     for (DocId doc : docs) {
       const uint64_t bit = doc - block->first;
       ids[bit >> 3] |= static_cast<char>(1u << (bit & 7));
     }
   } else {
-    ids.reserve(varint_bytes + tf.size());
     for (size_t i = 1; i < docs.size(); ++i) {
       PutVarint(&ids, docs[i] - docs[i - 1]);
     }
@@ -152,15 +163,43 @@ bool ValidDocs(const PostingBlock& block) {
     return bits == block.count && (docs.front() & 1) != 0 &&
            (top >> (span & 7)) == 1;
   }
-  size_t pos = 0;
+  if (VarintCount(docs) != block.count - 1) return false;
   uint64_t offset = 0;
-  for (uint32_t i = 1; i < block.count; ++i) {
-    if (pos == docs.size()) return false;
+  for (size_t pos = 0; pos < docs.size();) {
     const uint64_t delta = GetVarint(docs, &pos);
     if (delta == 0 || delta > span - offset) return false;
     offset += delta;
   }
-  return pos == docs.size() && offset == span;
+  return offset == span;
+}
+
+/// True when \p block holds one tf varint per doc and as many positions
+/// as those sum to, which is added to *tokens.
+bool ValidRecords(const PostingBlock& block, uint64_t* tokens) {
+  const std::string_view tf = TfStream(block);
+  if (VarintCount(tf) != block.count) return false;
+  uint64_t sum = 0;
+  for (size_t pos = 0; pos < tf.size();) {
+    const uint64_t n = GetVarint(tf, &pos);
+    if (n > block.positions.size() - sum) return false;  // a byte each
+    sum += n;
+  }
+  *tokens += sum;
+  return VarintCount(block.positions) == sum;
+}
+
+/// Starts loading the tail of \p blocks into cache: its struct, or with
+/// \p streams the bytes that an append writes.
+void PrefetchTail(const std::vector<PostingBlock>& blocks, bool streams) {
+  if (blocks.empty()) return;
+  const PostingBlock& tail = blocks.back();
+  if (streams) {
+    __builtin_prefetch(tail.ids.data() + tail.tf_at);
+    __builtin_prefetch(tail.positions.data() + tail.positions.size());
+  } else {
+    __builtin_prefetch(&tail);
+    __builtin_prefetch(&tail.positions);
+  }
 }
 
 /// The doc ids of \p blocks, stopping before the first block \p ctx
@@ -246,17 +285,29 @@ void InvertedIndex::AddDocument(DocId id, const std::string& text) {
     term_positions[std::move(token.term)].push_back(token.position);
   }
 
+  // Intern first, then write: a document's terms append to tails spread
+  // over the heap, so each tail's struct is fetched four terms ahead and
+  // its stream ends two ahead, overlapping the cache misses.
   std::vector<uint32_t> term_ids;
   term_ids.reserve(term_positions.size());
-  for (auto& [term, positions] : term_positions) {
-    uint32_t tid = InternTerm(term);
-    TermList& list = lists_[tid];
-    if (list.blocks.empty() || list.blocks.back().last < id) {
-      Append(&list, id, positions);
-    } else {
-      Splice(&list, id, &positions);
+  for (const auto& entry : term_positions) {
+    term_ids.push_back(InternTerm(entry.first));
+    __builtin_prefetch(&lists_[term_ids.back()]);
+  }
+  size_t i = 0;
+  for (const auto& entry : term_positions) {
+    if (i + 4 < term_ids.size()) {
+      PrefetchTail(lists_[term_ids[i + 4]].blocks, /*streams=*/false);
     }
-    term_ids.push_back(tid);
+    if (i + 2 < term_ids.size()) {
+      PrefetchTail(lists_[term_ids[i + 2]].blocks, /*streams=*/true);
+    }
+    TermList& list = lists_[term_ids[i++]];
+    if (list.blocks.empty() || list.blocks.back().last < id) {
+      Append(&list, id, entry.second);
+    } else {
+      Splice(&list, id, &entry.second);
+    }
   }
   std::sort(term_ids.begin(), term_ids.end());
   term_ids.shrink_to_fit();
@@ -288,25 +339,31 @@ void InvertedIndex::Append(TermList* list, DocId doc,
     ++held_lists_;
     blocks.emplace_back();
   } else if (blocks.back().count >= kBlockDocs || blocks.back().dense) {
-    // Seal the old tail: its smaller doc form, both strings sized to fit.
-    PostingBlock& sealed = blocks.back();
+    // A full tail is sealed in its smaller doc form, both strings sized to
+    // fit, and a new tail opens. A bitset tail below kBlockDocs, left when
+    // an erase exposed a sealed block, goes back to varints and grows.
+    PostingBlock& old = blocks.back();
+    const bool full = old.count >= kBlockDocs;
     std::vector<DocId> docs;
-    AppendBlockDocs(sealed, &docs);
-    payload_bytes_ -= sealed.ids.size();
-    EncodeBlock(docs, TfStream(sealed), &sealed);
-    payload_bytes_ += sealed.ids.size();
-    sealed.positions.shrink_to_fit();
-    blocks.emplace_back();
+    AppendBlockDocs(old, &docs);
+    payload_bytes_ -= old.ids.size();
+    EncodeBlock(docs, TfStream(old), /*dense_ok=*/full, &old);
+    payload_bytes_ += old.ids.size();
+    if (full) {
+      old.positions.shrink_to_fit();
+      blocks.emplace_back();
+    }
   }
   PostingBlock& tail = blocks.back();
   const size_t before = PayloadBytes(tail);
   if (tail.count == 0) {
     tail.first = doc;
-  } else {
-    std::string delta;
-    PutVarint(&delta, doc - tail.last);
-    tail.ids.insert(tail.tf_at, delta);
-    tail.tf_at += static_cast<uint32_t>(delta.size());
+  } else {  // the delta goes at the end of the doc payload
+    const size_t end = tail.ids.size();
+    PutVarint(&tail.ids, doc - tail.last);
+    std::rotate(tail.ids.begin() + tail.tf_at, tail.ids.begin() + end,
+                tail.ids.end());
+    tail.tf_at += static_cast<uint32_t>(tail.ids.size() - end);
   }
   tail.last = doc;
   ++tail.count;
@@ -326,6 +383,7 @@ uint64_t InvertedIndex::Splice(TermList* list, DocId doc,
       [doc](const PostingBlock& block) { return block.last < doc; });
   if (it == blocks.end()) return 0;
   PostingBlock& block = *it;
+  const bool tail = it + 1 == blocks.end();
   std::vector<DocId> docs;
   AppendBlockDocs(block, &docs);
   const size_t slot =
@@ -363,7 +421,7 @@ uint64_t InvertedIndex::Splice(TermList* list, DocId doc,
   const std::string tf = Spliced(old_tf, tf_at, tf_end, tf_patch);
   block.positions = Spliced(block.positions, pos_at, pos_end, pos_patch);
   if (docs.size() <= 2 * kBlockDocs) {
-    EncodeBlock(docs, tf, &block);
+    EncodeBlock(docs, tf, /*dense_ok=*/!tail, &block);
     payload_bytes_ += PayloadBytes(block);
     return removed;
   }
@@ -375,27 +433,19 @@ uint64_t InvertedIndex::Splice(TermList* list, DocId doc,
   }
   PostingBlock upper;
   upper.positions = block.positions.substr(pos_half);
-  block.positions = Spliced(block.positions, pos_half, block.positions.size(),
-                            "");
+  block.positions = block.positions.substr(0, pos_half);
   EncodeBlock(std::vector<DocId>(docs.begin() + half, docs.end()),
-              std::string_view(tf).substr(tf_half), &upper);
+              std::string_view(tf).substr(tf_half), /*dense_ok=*/!tail,
+              &upper);
   docs.resize(half);
-  EncodeBlock(docs, std::string_view(tf).substr(0, tf_half), &block);
+  EncodeBlock(docs, std::string_view(tf).substr(0, tf_half),
+              /*dense_ok=*/true, &block);
   payload_bytes_ += PayloadBytes(block) + PayloadBytes(upper);
   blocks.insert(it + 1, std::move(upper));
   return removed;
 }
 
 // --- checkpoint image ------------------------------------------------------
-
-namespace {
-constexpr uint64_t kContentMagic = 0x69444D31434E5431ULL;  // "iDM1CNT1"
-constexpr uint32_t kContentFormatVersion = 2;
-/// Smallest encodings of a term entry and of a block (empty strings), the
-/// bounds on counts read from an image.
-constexpr size_t kMinTermBytes = 8 + 4 + 4 + 8;
-constexpr size_t kMinBlockBytes = 8 + 8 + 4 + 4 + 4 + 2 * 8;
-}  // namespace
 
 std::string InvertedIndex::Serialize() const {
   std::string out;
@@ -463,6 +513,7 @@ Result<InvertedIndex> InvertedIndex::Deserialize(const std::string& data) {
   }
   index.lists_.resize(n_terms);
   std::vector<bool> seen(n_terms, false);
+  uint64_t tokens = 0;  // tf counts of every block
   for (uint64_t i = 0; i < n_terms; ++i) {
     std::string term;
     uint32_t term_id = 0;
@@ -474,11 +525,9 @@ Result<InvertedIndex> InvertedIndex::Deserialize(const std::string& data) {
         !codec::GetU64(data, &pos, &n_blocks)) {
       return Status::ParseError("truncated term entry");
     }
-    if (term_id >= n_terms || seen[term_id]) {
-      return Status::ParseError("invalid term id");
-    }
-    if (n_blocks > (data.size() - pos) / kMinBlockBytes) {
-      return Status::ParseError("truncated block list");
+    if (term_id >= n_terms || seen[term_id] ||
+        n_blocks > (data.size() - pos) / kMinBlockBytes) {
+      return Status::ParseError("invalid term id or block count");
     }
     list.blocks.reserve(n_blocks);
     uint64_t postings = 0;
@@ -495,7 +544,7 @@ Result<InvertedIndex> InvertedIndex::Deserialize(const std::string& data) {
         return Status::ParseError("truncated posting block");
       }
       block.dense = dense == 1;
-      if (dense > 1 || !ValidDocs(block) ||
+      if (dense > 1 || !ValidDocs(block) || !ValidRecords(block, &tokens) ||
           (b > 0 && block.first <= list.blocks.back().last)) {
         return Status::ParseError("inconsistent posting block");
       }
@@ -511,6 +560,9 @@ Result<InvertedIndex> InvertedIndex::Deserialize(const std::string& data) {
     index.lists_[term_id] = std::move(list);
     index.term_ids_.emplace(std::move(term), term_id);
   }
+  if (tokens != index.total_tokens_) {
+    return Status::ParseError("token count mismatch");
+  }
   uint64_t n_docs = 0;
   if (!codec::GetU64(data, &pos, &n_docs)) {
     return Status::ParseError("truncated doc table");
@@ -523,15 +575,10 @@ Result<InvertedIndex> InvertedIndex::Deserialize(const std::string& data) {
     if (n > (data.size() - pos) / 4) {
       return Status::ParseError("truncated doc term list");
     }
-    std::vector<uint32_t> term_list;
-    term_list.reserve(n);
-    for (uint64_t t = 0; t < n; ++t) {
-      uint32_t term = 0;
-      if (!codec::GetU32(data, &pos, &term)) {
-        return Status::ParseError("truncated doc term list");
-      }
+    std::vector<uint32_t> term_list(n);
+    for (uint32_t& term : term_list) {
+      codec::GetU32(data, &pos, &term);  // in bounds: checked just above
       if (term >= n_terms) return Status::ParseError("invalid doc term id");
-      term_list.push_back(term);
     }
     index.doc_terms_.emplace(doc, std::move(term_list));
   }
@@ -656,22 +703,18 @@ std::vector<DocId> InvertedIndex::PhraseDocs(const std::string& phrase,
     // keeps the prefix of candidates verified so far.
     if (ctx != nullptr && !ctx->TickAlive(walked)) break;
     if (!have_all) continue;  // defensive: candidates came from these lists
-    bool matched = false;
-    for (uint32_t start : positions[0]) {
-      bool consecutive = true;
+    const auto starts_phrase = [&](uint32_t start) {
       for (size_t k = 1; k < positions.size(); ++k) {
         if (!std::binary_search(positions[k].begin(), positions[k].end(),
                                 start + static_cast<uint32_t>(k))) {
-          consecutive = false;
-          break;
+          return false;
         }
       }
-      if (consecutive) {
-        matched = true;
-        break;
-      }
+      return true;
+    };
+    if (std::any_of(positions[0].begin(), positions[0].end(), starts_phrase)) {
+      out.push_back(doc);
     }
-    if (matched) out.push_back(doc);
   }
   return out;
 }

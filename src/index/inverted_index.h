@@ -12,14 +12,14 @@
 // position deltas as varints. Blocks are the only postings store: reads
 // decode them, writes edit them and checkpoints copy them.
 //
-// An append extends the tail block in varint form; when the tail is full
-// (or a bitset) a new block opens and the old tail is sealed in its
-// smaller form. A removal, a re-add or an insert below a list's last doc
-// re-encodes only its own block: an emptied block is erased, and a block
-// grown past 2 * kBlockDocs splits. Block boundaries therefore depend on
-// the order of writes, and so does the Serialize() image, which carries
-// the blocks verbatim: Serialize(Deserialize(image)) == image, and equal
-// write histories give equal images.
+// The tail block stays in varint form, so an append extends it; only a
+// full tail (kBlockDocs postings) is sealed in its smaller form as a new
+// one opens. A removal, a re-add or an insert below a list's last doc
+// re-encodes only its own block (a tail again as varints): an emptied
+// block is erased and one grown past 2 * kBlockDocs splits. Block bounds
+// thus follow the order of writes, and so does the Serialize() image,
+// which carries the blocks verbatim: Serialize(Deserialize(image)) ==
+// image, and equal write histories give equal images.
 
 #ifndef IDM_INDEX_INVERTED_INDEX_H_
 #define IDM_INDEX_INVERTED_INDEX_H_
@@ -121,7 +121,8 @@ class InvertedIndex {
   /// Binary checkpoint image (content-image format 2): the term
   /// dictionary sorted by term with each list's blocks verbatim, then the
   /// doc->terms map sorted by doc. Deserialize rejects truncated or
-  /// inconsistent images with a Status.
+  /// inconsistent images with a Status (a block stream that does not
+  /// decode to its counts, tf counts not summing to total_tokens()).
   std::string Serialize() const;
   static Result<InvertedIndex> Deserialize(const std::string& data);
 

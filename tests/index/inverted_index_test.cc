@@ -163,7 +163,7 @@ TEST(InvertedIndexBlocksTest, BlocksSurviveWrites) {
   }
 }
 
-TEST(InvertedIndexBlocksTest, OversizedBlocksSplitAndDenseTailsSeal) {
+TEST(InvertedIndexBlocksTest, OversizedBlocksSplitAndFullTailsSeal) {
   InvertedIndex index;
   std::map<DocId, std::string> texts;
   auto add = [&](DocId id, const std::string& text) {
@@ -187,8 +187,8 @@ TEST(InvertedIndexBlocksTest, OversizedBlocksSplitAndDenseTailsSeal) {
   for (DocId id = 2; id < 3 * 128; id += 3) add(id, "beta alpha");
   EXPECT_EQ(blocks_below_omega(), 2u);
 
-  // Removing the top doc leaves a bitset tail, which an append seals
-  // rather than extends.
+  // Removing the top doc erases its block and leaves a full bitset block
+  // as the tail, which an append seals rather than extends.
   index.RemoveDocument(1000);
   texts.erase(1000);
   add(2000, "alpha omega");
@@ -203,6 +203,65 @@ TEST(InvertedIndexBlocksTest, OversizedBlocksSplitAndDenseTailsSeal) {
   for (const char* phrase : {"alpha beta", "beta alpha", "alpha omega"}) {
     EXPECT_EQ(index.PhraseDocs(phrase), ScanPhrase(texts, phrase)) << phrase;
   }
+}
+
+TEST(InvertedIndexBlocksTest, ChurnAtTheTailKeepsBlocksFull) {
+  // Writes that keep hitting a list's newest docs, like a sync loop that
+  // creates, overwrites and removes recent notes, leave no small blocks
+  // behind: only full blocks are sealed, so N appends make at most
+  // ceil(N / 128) + 1 blocks.
+  InvertedIndex index;
+  std::map<DocId, std::string> texts;
+  size_t appends = 0;
+  auto add = [&](DocId id, const std::string& text) {
+    index.AddDocument(id, text);
+    texts[id] = text;
+    ++appends;
+  };
+  auto remove = [&](DocId id) {
+    index.RemoveDocument(id);
+    texts.erase(id);
+  };
+  // Block structs are what CompressedPostingsBytes() adds to the payload.
+  auto blocks = [&] {
+    return (index.CompressedPostingsBytes() -
+            index.block_stats().block_bytes) /
+           sizeof(PostingBlock);
+  };
+  auto bound = [&] { return (appends + 127) / 128 + 1; };
+
+  // Create each doc, then overwrite it: ids close enough for a bitset.
+  DocId next = 0;
+  for (int i = 0; i < 600; ++i, ++next) {
+    add(next, "needle");
+    add(next, "needle needle");
+  }
+  EXPECT_LE(blocks(), bound());
+
+  // Mixed: appends, and removes or overwrites of a recent doc.
+  Rng rng(3);
+  for (int step = 0; step < 3000; ++step) {
+    add(next++, "needle");
+    const DocId recent = texts.rbegin()->first - rng.Uniform(4);
+    if (texts.count(recent) == 0) continue;
+    switch (rng.Uniform(3)) {
+      case 0: remove(recent); break;
+      case 1: add(recent, "needle needle needle"); break;
+      default: break;
+    }
+  }
+  EXPECT_LE(blocks(), bound());
+
+  InvertedIndex fresh;
+  for (const auto& [id, text] : texts) fresh.AddDocument(id, text);
+  EXPECT_EQ(index.TermDocs("needle"), fresh.TermDocs("needle"));
+  EXPECT_EQ(index.TermTfDocs("needle"), fresh.TermTfDocs("needle"));
+  EXPECT_EQ(index.PhraseDocs("needle needle"),
+            ScanPhrase(texts, "needle needle"));
+  const std::string image = index.Serialize();
+  auto restored = InvertedIndex::Deserialize(image);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(restored->Serialize(), image);
 }
 
 TEST(InvertedIndexBlocksTest, GovernedReadsChargePerBlock) {

@@ -150,6 +150,14 @@ TEST(InvertedIndexHardening, TruncationsAndByteFlipsFailOrReadSafely) {
     if (!restored.ok()) continue;
     ++accepted;
     ReadEverything(*restored, mutant.size());
+    // Writes on a loaded mutant stay within its blocks too, and its token
+    // count, checked against the tf counts on load, cannot wrap.
+    restored->RemoveDocument(1);
+    restored->RemoveDocument(3);
+    restored->AddDocument(2, "the beta beta");
+    restored->AddDocument(9000, "the gamma");
+    EXPECT_LE(restored->total_tokens(), mutant.size() + 5);
+    ReadEverything(*restored, mutant.size());
   }
   // Flips in position bytes, doc ids of the doc->terms map and the like
   // load; the sweep must have read some such mutants.
@@ -182,6 +190,32 @@ TEST(InvertedIndexHardening, RejectsInconsistentBlocks) {
   EXPECT_FALSE(InvertedIndex::Deserialize(with_u32(block_at + 20, 1)).ok());
   // The list's doc count disagrees with its blocks.
   EXPECT_FALSE(InvertedIndex::Deserialize(with_u32(28 + 14 + 4, 11)).ok());
+
+  // The block's `ids` string (length, then 9 delta varints and 10 tf
+  // varints of 1) and its `positions` string (length, then 10 zero
+  // deltas) follow its three u32 fields.
+  const size_t tf_at = block_at + 28 + 8 + 9;
+  const size_t positions_at = tf_at + 10 + 8;
+  auto with_byte = [&](size_t at, uint8_t value) {
+    std::string mutant = image;
+    mutant[at] = static_cast<char>(value);
+    return mutant;
+  };
+  ASSERT_EQ(image[tf_at], 1);
+  ASSERT_EQ(image[positions_at], 0);
+  // A tf varint running into the next: 9 tf counts for 10 docs.
+  EXPECT_FALSE(InvertedIndex::Deserialize(with_byte(tf_at + 3, 0x81)).ok());
+  // A tf count of 2 claims 11 positions where 10 are stored.
+  EXPECT_FALSE(InvertedIndex::Deserialize(with_byte(tf_at + 3, 2)).ok());
+  // A position varint running into the next: 9 positions for 10.
+  EXPECT_FALSE(
+      InvertedIndex::Deserialize(with_byte(positions_at + 4, 0x80)).ok());
+  // The last position cut short.
+  EXPECT_FALSE(
+      InvertedIndex::Deserialize(with_byte(positions_at + 9, 0x80)).ok());
+  // The header's token count disagrees with the tf counts.
+  EXPECT_FALSE(InvertedIndex::Deserialize(with_byte(12, 11)).ok());
+  ASSERT_EQ(image[12], 10);
 }
 
 // --- Catalog hardening (satellite 2) ---------------------------------------
