@@ -75,6 +75,11 @@ std::string Spliced(std::string_view s, size_t at, size_t end,
   return out;
 }
 
+/// Frees \p s's spare capacity when it exceeds a quarter of its size.
+void Trim(std::string* s) {
+  if (s->capacity() - s->size() > s->size() / 4) s->shrink_to_fit();
+}
+
 /// Heap bytes behind \p s (none while it fits the inline buffer).
 size_t HeapBytes(const std::string& s) {
   static const size_t kInline = std::string().capacity();
@@ -89,25 +94,30 @@ std::string_view TfStream(const PostingBlock& block) {
   return std::string_view(block.ids).substr(block.tf_at);
 }
 
-void AppendBlockDocs(const PostingBlock& block, std::vector<DocId>* out) {
+/// Calls \p fn with each doc id of \p block, ascending.
+template <typename Fn>
+void ForEachDoc(const PostingBlock& block, Fn&& fn) {
   if (block.dense) {
     for (size_t byte = 0; byte < block.tf_at; ++byte) {
       uint8_t bits = static_cast<uint8_t>(block.ids[byte]);
       while (bits != 0) {
-        int bit = __builtin_ctz(bits);
-        out->push_back(block.first + (byte << 3) + bit);
+        fn(block.first + (byte << 3) + __builtin_ctz(bits));
         bits &= bits - 1;
       }
     }
     return;
   }
   DocId doc = block.first;
-  out->push_back(doc);
+  fn(doc);
   size_t pos = 0;
   for (uint32_t i = 1; i < block.count; ++i) {
     doc += GetVarint(block.ids, &pos);
-    out->push_back(doc);
+    fn(doc);
   }
+}
+
+void AppendBlockDocs(const PostingBlock& block, std::vector<DocId>* out) {
+  ForEachDoc(block, [out](DocId doc) { out->push_back(doc); });
 }
 
 /// Sets \p block's skip bounds and `ids` from its ascending doc ids and
@@ -339,19 +349,31 @@ void InvertedIndex::Append(TermList* list, DocId doc,
     ++held_lists_;
     blocks.emplace_back();
   } else if (blocks.back().count >= kBlockDocs || blocks.back().dense) {
-    // A full tail is sealed in its smaller doc form, both strings sized to
-    // fit, and a new tail opens. A bitset tail below kBlockDocs, left when
-    // an erase exposed a sealed block, goes back to varints and grows.
+    // A full tail is sealed: its doc payload becomes a bitset when that is
+    // smaller, strings more than a quarter spare are trimmed, and a new
+    // tail opens with room for as much as the sealed block holds. Growing
+    // in place rather than by doubling keeps ingest from leaving a trail
+    // of freed buffers that later small allocations scatter into. A bitset
+    // tail below kBlockDocs, left when an erase exposed a sealed block,
+    // goes back to varints and grows.
     PostingBlock& old = blocks.back();
     const bool full = old.count >= kBlockDocs;
-    std::vector<DocId> docs;
-    AppendBlockDocs(old, &docs);
-    payload_bytes_ -= old.ids.size();
-    EncodeBlock(docs, TfStream(old), /*dense_ok=*/full, &old);
-    payload_bytes_ += old.ids.size();
+    const size_t ids_room = old.ids.size() + old.ids.size() / 8;
+    const size_t positions_room =
+        old.positions.size() + old.positions.size() / 8;
+    if (old.dense || (old.last - old.first) / 8 + 1 < old.tf_at) {
+      std::vector<DocId> docs;
+      AppendBlockDocs(old, &docs);
+      payload_bytes_ -= old.ids.size();
+      EncodeBlock(docs, TfStream(old), /*dense_ok=*/full, &old);
+      payload_bytes_ += old.ids.size();
+    }
     if (full) {
-      old.positions.shrink_to_fit();
-      blocks.emplace_back();
+      Trim(&old.ids);
+      Trim(&old.positions);
+      PostingBlock& fresh = blocks.emplace_back();
+      fresh.ids.reserve(ids_room);
+      fresh.positions.reserve(positions_room);
     }
   }
   PostingBlock& tail = blocks.back();
@@ -632,14 +654,11 @@ std::vector<std::pair<DocId, uint32_t>> InvertedIndex::TermTfDocs(
   if (list == nullptr) return {};
   std::vector<std::pair<DocId, uint32_t>> out;
   out.reserve(list->doc_count);
-  std::vector<DocId> docs;
   for (const PostingBlock& block : list->blocks) {
-    docs.clear();
-    AppendBlockDocs(block, &docs);
     size_t at = block.tf_at;
-    for (DocId doc : docs) {
+    ForEachDoc(block, [&](DocId doc) {
       out.emplace_back(doc, static_cast<uint32_t>(GetVarint(block.ids, &at)));
-    }
+    });
   }
   return out;
 }
